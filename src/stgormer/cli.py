@@ -15,9 +15,7 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
-import numpy as np
-
-from . import __version__
+from . import __version__, kv
 from .attention import spd_bias
 from .data import (FlowDataset, SyntheticSpec, load_flows, load_timestamps,
                    save_flows, save_timestamps, split, synthesize,
@@ -37,77 +35,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-# -- key=value plumbing -----------------------------------------------------------
+# -- run configuration ------------------------------------------------------------
 
-
-def parse_kv_file(path) -> dict[str, str]:
-    """Flat key=value document; '#' comments and blank lines ignored."""
-    items: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in items:
-                raise ValueError(f"{path}: line {lineno}: duplicate key {key!r}")
-            items[key] = value.strip()
-    return items
-
-
-def _coerce_like(current, raw: str):
-    if isinstance(current, bool):
-        if raw not in ("true", "false"):
-            raise ValueError("expected true or false")
-        return raw == "true"
-    if isinstance(current, int):
-        return int(raw)
-    if isinstance(current, float):
-        return float(raw)
-    if isinstance(current, tuple):
-        parts = [float(p) for p in raw.split(",")]
-        if len(parts) != len(current):
-            raise ValueError(f"expected {len(current)} comma-separated numbers")
-        return tuple(parts)
-    return raw
-
-
-def _apply_items(defaults, prefix: str, items: dict[str, str], errors: list[str]):
-    """Overlay '<prefix>.<field>=value' items onto a dataclass instance."""
-    kwargs = {}
-    names = {f.name for f in dataclasses.fields(defaults)}
-    for key, raw in items.items():
-        if not key.startswith(prefix + "."):
-            continue
-        name = key[len(prefix) + 1:]
-        if name not in names:
-            errors.append(f"unknown config key {key!r}")
-            continue
-        try:
-            kwargs[name] = _coerce_like(getattr(defaults, name), raw)
-        except ValueError as exc:
-            errors.append(f"bad value for {key!r}: {exc}")
-    return dataclasses.replace(defaults, **kwargs)
-
-
-KNOWN_PREFIXES = ("model", "train", "data")
-DATA_KEYS = {"threshold"}
+# Every settable run key.  TrainConfig.threshold is spelled data.threshold, and
+# TrainConfig.checkpoint_dir is always the train --out directory.
+RUN_KEYS = (tuple(f"model.{f.name}" for f in dataclasses.fields(StgormerConfig))
+            + tuple(f"train.{f.name}" for f in dataclasses.fields(TrainConfig)
+                    if f.name not in ("threshold", "checkpoint_dir"))
+            + ("data.threshold",))
 
 
 def resolve_override_key(key: str) -> str:
-    """Allow bare field names when they map to exactly one config section."""
+    """Allow bare field names when they name exactly one run key."""
     if "." in key:
         return key
-    hits = []
-    if key in {f.name for f in dataclasses.fields(StgormerConfig)}:
-        hits.append(f"model.{key}")
-    if key in {f.name for f in dataclasses.fields(TrainConfig)}:
-        hits.append(f"train.{key}")
-    if key in DATA_KEYS:
-        hits.append(f"data.{key}")
+    hits = [k for k in RUN_KEYS if k.partition(".")[2] == key]
     if len(hits) == 1:
         return hits[0]
     if not hits:
@@ -118,73 +60,31 @@ def resolve_override_key(key: str) -> str:
 def load_run_config(config_path, overrides: list[str]
                     ) -> tuple[StgormerConfig, TrainConfig, dict[str, str]]:
     """Parse and validate the full run configuration, reporting all violations."""
-    items = parse_kv_file(config_path) if config_path else {}
+    items = kv.read_file(config_path) if config_path else {}
     for entry in overrides or []:
         if "=" not in entry:
             raise ValueError(f"override {entry!r} is not of the form key=value")
         key, _, value = entry.partition("=")
         items[resolve_override_key(key.strip())] = value.strip()
 
-    errors: list[str] = []
-    for key in items:
-        prefix = key.split(".", 1)[0]
-        if prefix not in KNOWN_PREFIXES:
-            errors.append(f"unknown config key {key!r}")
-        elif prefix == "data" and key.split(".", 1)[1] not in DATA_KEYS:
-            errors.append(f"unknown config key {key!r}")
-    mcfg = _apply_items(StgormerConfig(), "model", items, errors)
-    tcfg = _apply_items(TrainConfig(), "train", items, errors)
-    if "data.threshold" in items:
-        try:
-            tcfg = dataclasses.replace(
-                tcfg, threshold=float(items["data.threshold"]))
-        except ValueError:
-            errors.append(f"bad value for 'data.threshold': {items['data.threshold']!r}")
+    errors = [f"unknown config key {k!r}" for k in items if k not in RUN_KEYS]
+
+    def section(prefix: str) -> dict[str, str]:
+        return {k.partition(".")[2]: v for k, v in items.items()
+                if k in RUN_KEYS and k.startswith(prefix + ".")}
+
+    mcfg = kv.overlay(StgormerConfig(), section("model"), errors, "model.")
+    tcfg = kv.overlay(TrainConfig(), section("train"), errors, "train.")
+    tcfg = kv.overlay(tcfg, section("data"), errors, "data.")
     errors.extend(mcfg.validate())
     errors.extend(tcfg.validate())
     if errors:
         raise ValueError("config: " + "; ".join(errors))
 
-    resolved = {f"model.{k}": v for k, v in _items_of(mcfg).items()}
-    resolved.update({f"train.{k}": v for k, v in _items_of(tcfg).items()
-                     if k not in ("checkpoint_dir", "threshold")})
-    resolved["data.threshold"] = repr(tcfg.threshold)
+    resolved = {k: kv.encode(getattr(mcfg if k.startswith("model.") else tcfg,
+                                     k.partition(".")[2]))
+                for k in RUN_KEYS}
     return mcfg, tcfg, resolved
-
-
-def _items_of(cfg) -> dict[str, str]:
-    out = {}
-    for f in dataclasses.fields(cfg):
-        v = getattr(cfg, f.name)
-        if isinstance(v, bool):
-            out[f.name] = "true" if v else "false"
-        elif isinstance(v, float):
-            out[f.name] = repr(v)
-        elif isinstance(v, tuple):
-            out[f.name] = ",".join(repr(float(x)) for x in v)
-        else:
-            out[f.name] = str(v)
-    return out
-
-
-def parse_synth_spec(items: dict[str, str]) -> SyntheticSpec:
-    defaults = SyntheticSpec()
-    errors: list[str] = []
-    names = {f.name for f in dataclasses.fields(SyntheticSpec)}
-    kwargs = {}
-    for key, raw in items.items():
-        if key not in names:
-            errors.append(f"unknown synth spec field {key!r}")
-            continue
-        try:
-            kwargs[key] = _coerce_like(getattr(defaults, key), raw)
-        except ValueError as exc:
-            errors.append(f"bad value for {key!r}: {exc}")
-    if errors:
-        raise ValueError("synth spec: " + "; ".join(errors))
-    spec = dataclasses.replace(defaults, **kwargs)
-    spec.validate()
-    return spec
 
 
 # -- shared I/O ---------------------------------------------------------------------
@@ -222,25 +122,27 @@ def finish_manifest(path) -> None:
 def write_report(path, report: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for key in ("mae", "rmse", "mape", "threshold", "count"):
-            value = report[key]
-            fh.write(f"{key}={repr(float(value)) if key != 'count' else value}\n")
+            fh.write(f"{key}={kv.encode(report[key])}\n")
 
 
 # -- subcommands ----------------------------------------------------------------------
 
 
 def cmd_synth(args) -> int:
-    spec = parse_synth_spec(parse_kv_file(args.spec))
+    errors: list[str] = []
+    spec = kv.overlay(SyntheticSpec(), kv.read_file(args.spec), errors)
+    if errors:
+        raise ValueError("synth spec: " + "; ".join(errors))
+    spec.validate()
     ds = synthesize(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     save_graph(ds.graph, out / "graph.txt")
     save_flows(out / "flows.txt", ds)
     save_timestamps(out / "timestamps.txt", ds.timestamps)
-    items = _items_of(spec)
     with open(out / "synth-spec.txt", "w", encoding="utf-8") as fh:
-        for k in sorted(items):
-            fh.write(f"{k}={items[k]}\n")
+        for k, v in sorted(dataclasses.asdict(spec).items()):
+            fh.write(f"{k}={kv.encode(v)}\n")
     print(f"synthesized {ds.num_steps} steps x {ds.num_nodes} nodes "
           f"x {ds.num_channels} channels into {out}")
     return 0

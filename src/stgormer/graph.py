@@ -114,12 +114,6 @@ class SpdMatrix:
         if np.any(bad):
             raise ValueError("SPD entries must be -1 or in [0, N-1]")
 
-    @property
-    def max_observed(self) -> int:
-        """Largest finite distance (0 for a graph with no reachable pairs)."""
-        finite = self.values[self.values != UNREACHABLE]
-        return int(finite.max()) if finite.size else 0
-
 
 def degrees(g: SpatioTemporalGraph) -> tuple[np.ndarray, np.ndarray]:
     """Per-node indegree and outdegree over the stored arc set.

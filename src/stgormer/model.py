@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import kv
 from .attention import AttentionParams, spatial_attention, spd_bias, temporal_attention
 from .encoding import (DegreeEmbeddingTables, Time2VecParams, fuse_inputs,
                        spatial_input_encoding, temporal_input_encoding)
@@ -202,8 +203,7 @@ class StgormerModel:
             if config.use_moe:
                 router = RouterParams(
                     w=init.weight(f"{base}.ffn.router.w", d, config.experts),
-                    b=init.zeros(f"{base}.ffn.router.b", config.experts),
-                    axis=name)
+                    b=init.zeros(f"{base}.ffn.router.b", config.experts))
                 state = MoEState(config.experts)
             self.blocks.append(Block(
                 axis=axis, attn=attn, experts=experts, router=router, state=state,
@@ -232,8 +232,7 @@ class StgormerModel:
 
     # -- forward -----------------------------------------------------------
 
-    def forward_batch(self, x: np.ndarray, timestamps: np.ndarray,
-                      trace: list | None = None) -> Tensor:
+    def forward_batch(self, x: np.ndarray, timestamps: np.ndarray) -> Tensor:
         """Batched forward: (B, T, N, C) plus (B, T, k) -> (B, horizon, N, C)."""
         cfg = self.config
         x = np.asarray(x, dtype=np.float64)
@@ -259,8 +258,6 @@ class StgormerModel:
         bias = (spd_bias(self.spd, self.spd_table, cfg.max_spd)
                 if cfg.use_spd_bias else None)
         for block in self.blocks:
-            if trace is not None:
-                trace.append(block.axis)
             if block.axis == "S":
                 attended = spatial_attention(h, block.attn, bias)
             else:
@@ -316,125 +313,87 @@ def loss(pred: Tensor, target: np.ndarray, moe_states: list[MoEState],
 # -- checkpointing -------------------------------------------------------------
 
 
-def _config_items(cfg: StgormerConfig) -> dict[str, str]:
-    items = {}
-    for f in dataclasses.fields(cfg):
-        v = getattr(cfg, f.name)
-        if isinstance(v, bool):
-            items[f.name] = "true" if v else "false"
-        elif isinstance(v, float):
-            items[f.name] = repr(v)
-        else:
-            items[f.name] = str(v)
-    return items
-
-
-def parse_config_items(items: dict[str, str]) -> StgormerConfig:
-    """Build a config from string key/values, reporting every bad field."""
-    kwargs = {}
-    errors = []
-    types = {f.name: f.type for f in dataclasses.fields(StgormerConfig)}
-    defaults = StgormerConfig()
-    for key, raw in items.items():
-        if key not in types:
-            errors.append(f"unknown model config key {key!r}")
-            continue
-        current = getattr(defaults, key)
-        try:
-            if isinstance(current, bool):
-                if raw not in ("true", "false"):
-                    raise ValueError
-                kwargs[key] = raw == "true"
-            elif isinstance(current, int):
-                kwargs[key] = int(raw)
-            elif isinstance(current, float):
-                kwargs[key] = float(raw)
-            else:
-                kwargs[key] = raw
-        except ValueError:
-            errors.append(f"bad value {raw!r} for model config key {key!r}")
-    if errors:
-        raise ValueError("; ".join(errors))
-    return StgormerConfig(**kwargs)
+def _write_section(fh, tag: str, items: dict[str, str]) -> None:
+    fh.write(f"[{tag}]\n".encode())
+    for k, v in items.items():
+        fh.write(f"{k}={v}\n".encode())
 
 
 def save_model(model: StgormerModel, path) -> None:
+    g, norm = model.graph, model.normalizer
+    config = {k: kv.encode(v) for k, v in sorted(dataclasses.asdict(model.config).items())}
+    pairs = g.edges if g.directed else g.undirected_edges()
+    normalizer = {"present": kv.encode(norm is not None)}
+    if norm is not None:
+        normalizer["mean"] = kv.encode(tuple(norm.mean))
+        normalizer["std"] = kv.encode(tuple(norm.std))
     with open(path, "wb") as fh:
         fh.write(_MODEL_MAGIC.encode() + b"\n")
-        fh.write(b"[config]\n")
-        for k, v in sorted(_config_items(model.config).items()):
-            fh.write(f"{k}={v}\n".encode())
-        fh.write(b"[graph]\n")
-        g = model.graph
-        fh.write(f"num_nodes={g.num_nodes}\n".encode())
-        fh.write(f"directed={'true' if g.directed else 'false'}\n".encode())
-        pairs = g.edges if g.directed else g.undirected_edges()
-        fh.write(("edges=" + ";".join(f"{u}:{v}" for u, v in pairs) + "\n").encode())
-        fh.write(b"[normalizer]\n")
-        if model.normalizer is None:
-            fh.write(b"present=false\n")
-        else:
-            fh.write(b"present=true\n")
-            fh.write(("mean=" + ",".join(repr(float(v)) for v in model.normalizer.mean)
-                      + "\n").encode())
-            fh.write(("std=" + ",".join(repr(float(v)) for v in model.normalizer.std)
-                      + "\n").encode())
+        _write_section(fh, "config", config)
+        _write_section(fh, "graph", {
+            "num_nodes": kv.encode(g.num_nodes),
+            "directed": kv.encode(g.directed),
+            "edges": ";".join(f"{u}:{v}" for u, v in pairs)})
+        _write_section(fh, "normalizer", normalizer)
         write_param_block(fh, model.store)
 
 
+def _read_section(fh, tag: str) -> dict[str, str]:
+    """The ``[tag]`` section's key=value lines, up to the next ``[...]`` line."""
+    line = fh.readline().decode().rstrip("\n")
+    if line != f"[{tag}]":
+        raise ValueError(f"corrupt checkpoint: expected [{tag}], got {line!r}")
+    items: dict[str, str] = {}
+    while True:
+        start = fh.tell()
+        line = fh.readline().decode().rstrip("\n")
+        if not line or line.startswith("["):
+            fh.seek(start)
+            return items
+        key, eq, value = line.partition("=")
+        if not eq or key in items:
+            raise ValueError(f"corrupt checkpoint: bad line {line!r} in [{tag}]")
+        items[key] = value
+
+
 def load_model(path) -> StgormerModel:
-    """Rebuild a model from its checkpoint, verifying config/parameter agreement."""
+    """Rebuild a model from its checkpoint, verifying config/parameter agreement.
+
+    Config fields missing from the checkpoint take their defaults.
+    """
     from .data import Normalizer
 
     with open(path, "rb") as fh:
         magic = fh.readline().decode().rstrip("\n")
         if magic != _MODEL_MAGIC:
             raise ValueError(f"not a model checkpoint: bad magic {magic!r}")
-
-        def expect(tag: str) -> None:
-            line = fh.readline().decode().rstrip("\n")
-            if line != tag:
-                raise ValueError(f"corrupt checkpoint: expected {tag}, got {line!r}")
-
-        def read_kv() -> tuple[str, str]:
-            line = fh.readline().decode().rstrip("\n")
-            if "=" not in line:
-                raise ValueError(f"corrupt checkpoint: expected key=value, got {line!r}")
-            k, _, v = line.partition("=")
-            return k, v
-
-        expect("[config]")
-        items = {}
-        n_fields = len(dataclasses.fields(StgormerConfig))
-        for _ in range(n_fields):
-            k, v = read_kv()
-            items[k] = v
-        config = parse_config_items(items)
-
-        expect("[graph]")
-        k, v = read_kv()
-        num_nodes = int(v)
-        k, v = read_kv()
-        directed = v == "true"
-        k, v = read_kv()
-        pairs = []
-        if v:
-            for token in v.split(";"):
-                a, _, b = token.partition(":")
-                pairs.append((int(a), int(b)))
-        graph = SpatioTemporalGraph.from_edge_list(num_nodes, pairs, directed=directed)
-
-        expect("[normalizer]")
-        k, v = read_kv()
-        normalizer = None
-        if v == "true":
-            k, v = read_kv()
-            mean = np.array([float(x) for x in v.split(",")])
-            k, v = read_kv()
-            std = np.array([float(x) for x in v.split(",")])
-            normalizer = Normalizer(mean=mean, std=std)
-
+        sections = {tag: _read_section(fh, tag) for tag in ("config", "graph", "normalizer")}
         values = read_param_block(fh)
+
+    def required(tag: str, key: str) -> str:
+        if key not in sections[tag]:
+            raise ValueError(f"corrupt checkpoint: [{tag}] has no {key!r} line")
+        return sections[tag][key]
+
+    errors: list[str] = []
+    config = kv.overlay(StgormerConfig(), sections["config"], errors)
+    if errors:
+        raise ValueError("corrupt checkpoint: " + "; ".join(errors))
+
+    edges = required("graph", "edges")
+    pairs = []
+    for token in edges.split(";") if edges else []:
+        a, _, b = token.partition(":")
+        pairs.append((int(a), int(b)))
+    graph = SpatioTemporalGraph.from_edge_list(
+        kv.decode(0, required("graph", "num_nodes")), pairs,
+        directed=kv.decode(True, required("graph", "directed")))
+
+    normalizer = None
+    if kv.decode(True, required("normalizer", "present")):
+        mean, std = (np.array([float(x) for x in required("normalizer", key).split(",")])
+                     for key in ("mean", "std"))
+        normalizer = Normalizer(mean=mean, std=std)
 
     model = StgormerModel(config, graph)
     expected = {p: t.data.shape for p, t in model.store.items()}

@@ -26,7 +26,6 @@ class RouterParams:
 
     w: Tensor
     b: Tensor
-    axis: str = "spatial"
 
 
 class MoEState:
@@ -66,11 +65,6 @@ class MoEState:
     def reset(self) -> None:
         self._prob_sum = None
         self._token_count = 0
-
-
-def reset_state(state: MoEState) -> MoEState:
-    state.reset()
-    return state
 
 
 def expert_forward(x: Tensor, expert: ExpertParams) -> Tensor:

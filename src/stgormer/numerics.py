@@ -4,7 +4,8 @@ Everything runs at double precision on numpy storage.  A ``Tensor`` records the
 operation that produced it; calling :meth:`Tensor.backward` on a scalar walks
 the recorded graph in reverse topological order and accumulates gradients into
 every reachable leaf.  Parameters live in a :class:`ParameterStore` keyed by
-dotted path, which also owns checkpoint serialization.
+dotted path; :func:`write_param_block` and :func:`read_param_block` carry a
+store's values in and out of a model checkpoint.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ __all__ = [
     "softmax",
     "concat",
     "gather_rows",
-    "save_store",
-    "load_store",
+    "write_param_block",
+    "read_param_block",
 ]
 
 
@@ -180,9 +181,6 @@ class Tensor:
 
         return Tensor._result(data, (self, other), back)
 
-    def __rsub__(self, other) -> "Tensor":
-        return Tensor(other) - self
-
     def __truediv__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data / other.data
@@ -197,9 +195,6 @@ class Tensor:
                                  other.data.shape), fresh=True)
 
         return Tensor._result(data, (self, other), back)
-
-    def __rtruediv__(self, other) -> "Tensor":
-        return Tensor(other) / self
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not isinstance(exponent, (int, float)):
@@ -326,22 +321,6 @@ class Tensor:
 
         def back(g: np.ndarray) -> None:
             self._accumulate(g * np.cos(self.data), fresh=True)
-
-        return Tensor._result(data, (self,), back)
-
-    def exp(self) -> "Tensor":
-        data = np.exp(self.data)
-
-        def back(g: np.ndarray) -> None:
-            self._accumulate(g * data, fresh=True)
-
-        return Tensor._result(data, (self,), back)
-
-    def log(self) -> "Tensor":
-        data = np.log(self.data)
-
-        def back(g: np.ndarray) -> None:
-            self._accumulate(g / self.data, fresh=True)
 
         return Tensor._result(data, (self,), back)
 
@@ -536,7 +515,7 @@ def backward(loss: Tensor, store: ParameterStore) -> None:
 
 @dataclass
 class AdamState:
-    """Adam accumulators plus schedule knobs.
+    """Adam accumulators and hyperparameters.
 
     ``lr`` is the rate in force for the next step; the training loop rescales
     it per epoch via :func:`scheduled_lr`.  The update uses the step-size form
@@ -548,9 +527,6 @@ class AdamState:
     beta1: float = 0.9
     beta2: float = 0.999
     eps: float = 1e-8
-    decay_factor: float = 0.5
-    decay_every: int = 25
-    lr_floor: float = 1e-5
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -640,10 +616,7 @@ def finite_difference_check(
     return worst
 
 
-# -- checkpoint serialization ----------------------------------------------------------
-
-
-_STORE_MAGIC = "parameter-checkpoint 1"
+# -- checkpoint parameter block ----------------------------------------------------------
 
 
 def write_param_block(fh, store: ParameterStore) -> None:
@@ -680,18 +653,3 @@ def read_param_block(fh) -> dict[str, np.ndarray]:
             raise ValueError(f"truncated checkpoint payload at parameter {path!r}")
         values[path] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
     return values
-
-
-def save_store(store: ParameterStore, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(_STORE_MAGIC.encode("utf-8") + b"\n")
-        write_param_block(fh, store)
-
-
-def load_store(path) -> dict[str, np.ndarray]:
-    """Read a bare parameter checkpoint back into path -> array form."""
-    with open(path, "rb") as fh:
-        magic = fh.readline().decode("utf-8").rstrip("\n")
-        if magic != _STORE_MAGIC:
-            raise ValueError(f"not a parameter checkpoint: bad magic {magic!r}")
-        return read_param_block(fh)

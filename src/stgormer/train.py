@@ -123,8 +123,7 @@ def train_loop(model: StgormerModel, splits: tuple[FlowDataset, FlowDataset],
     if not train_windows:
         raise ValueError("empty training split: no windows available")
 
-    opt = AdamState(lr=tcfg.lr, decay_factor=tcfg.lr_decay_factor,
-                    decay_every=tcfg.lr_decay_every, lr_floor=tcfg.lr_floor)
+    opt = AdamState(lr=tcfg.lr)
     history = TrainHistory()
     best_val = np.inf
     best_values = model.store.snapshot()

@@ -2,13 +2,17 @@
 
 Usage: python3 tests/golden/regenerate.py
 
-Produces a tiny synthetic dataset, a two-epoch checkpoint, and the evaluation
-report the test suite compares against byte-for-byte.  Rerun only when the
+Produces a tiny synthetic dataset, the SHA-256 of a two-epoch checkpoint
+trained on it, and the evaluation report of that checkpoint.  The test suite
+retrains the checkpoint, compares its hash, and compares the report
+byte-for-byte; the checkpoint itself is not kept.  Rerun only when the
 pipeline's numerical behavior intentionally changes, and commit the results.
 """
+import hashlib
 import pathlib
 import shutil
 import sys
+import tempfile
 
 from stgormer.cli import main
 
@@ -47,21 +51,21 @@ def regenerate() -> None:
     (HERE / "synth-spec.txt").write_text(SYNTH_SPEC)
     (HERE / "run.txt").write_text(RUN_CONFIG)
     data_dir = HERE / "data"
-    run_dir = HERE / "run"
     shutil.rmtree(data_dir, ignore_errors=True)
-    shutil.rmtree(run_dir, ignore_errors=True)
     assert main(["synth", "--spec", str(HERE / "synth-spec.txt"),
                  "--out", str(data_dir)]) == 0
-    assert main(["train", "--config", str(HERE / "run.txt"),
-                 "--data", str(data_dir), "--out", str(run_dir)]) == 0
-    # the manifest and history carry timestamps; only checkpoint + report
-    # are golden artifacts
-    (run_dir / "manifest.txt").unlink()
-    (run_dir / "history.jsonl").unlink()
-    assert main(["eval", "--checkpoint", str(run_dir / "model.ckpt"),
-                 "--data", str(data_dir), "--split", "test",
-                 "--threshold", "0.0",
-                 "--out", str(HERE / "report.txt")]) == 0
+    # the manifest and history carry timestamps; only the checkpoint's hash
+    # and the report are golden artifacts
+    with tempfile.TemporaryDirectory() as run_dir:
+        ckpt = pathlib.Path(run_dir) / "model.ckpt"
+        assert main(["train", "--config", str(HERE / "run.txt"),
+                     "--data", str(data_dir), "--out", run_dir]) == 0
+        digest = hashlib.sha256(ckpt.read_bytes()).hexdigest()
+        (HERE / "model.ckpt.sha256").write_text(digest + "\n")
+        assert main(["eval", "--checkpoint", str(ckpt),
+                     "--data", str(data_dir), "--split", "test",
+                     "--threshold", "0.0",
+                     "--out", str(HERE / "report.txt")]) == 0
     print(f"golden fixtures regenerated under {HERE}")
 
 

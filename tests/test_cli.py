@@ -1,3 +1,4 @@
+import hashlib
 import pathlib
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from stgormer.cli import main
+from stgormer.cli import load_run_config, main
 from stgormer.data import load_flows, load_timestamps
 from stgormer.graph import load_graph, shortest_path_matrix
 from stgormer.model import load_model
@@ -86,6 +87,15 @@ class TestSynth:
         assert err.startswith("error:")
         assert "wheels" in err
 
+    def test_non_finite_spec_value_rejected(self, tmp_path, capsys):
+        spec = tmp_path / "nan.txt"
+        spec.write_text("noise_std=nan\n")
+        code = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'noise_std'" in err and "finite" in err
+        assert not (tmp_path / "d").exists()
+
 
 class TestTrain:
     def test_end_to_end(self, workspace):
@@ -125,6 +135,32 @@ class TestTrain:
                      "--override", "seed=7"])
         assert code == 2
         assert "ambiguous" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["model.alpha=nan", "train.lr=nan"])
+    def test_non_finite_override_is_config_error(self, workspace, capsys, override):
+        code = main(["train", "--config", str(workspace / "run.txt"),
+                     "--data", str(workspace / "data"),
+                     "--out", str(workspace / "x"),
+                     "--override", override])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert repr(override.partition("=")[0]) in err and "finite" in err
+
+    def test_bare_threshold_resolves_to_data_key(self):
+        _, tcfg, resolved = load_run_config("", ["threshold=0.5"])
+        assert tcfg.threshold == 0.5
+        assert resolved["data.threshold"] == "0.5"
+        assert "train.threshold" not in resolved
+        assert "train.checkpoint_dir" not in resolved
+
+    @pytest.mark.parametrize("key", ["train.threshold", "train.checkpoint_dir"])
+    def test_train_spelling_of_run_setting_is_unknown(self, workspace, capsys, key):
+        code = main(["train", "--config", str(workspace / "run.txt"),
+                     "--data", str(workspace / "data"),
+                     "--out", str(workspace / "x"),
+                     "--override", f"{key}=0.5"])
+        assert code == 2
+        assert f"unknown config key {key!r}" in capsys.readouterr().err
 
     def test_config_errors_listed_exhaustively(self, workspace, capsys):
         (workspace / "bad.txt").write_text(
@@ -184,15 +220,29 @@ class TestEval:
         assert err.startswith("error:")
         assert "empty mask" in err
 
-    def test_golden_report_reproduced(self, tmp_path, capsys):
-        # shipped smoke checkpoint + dataset must reproduce the stored report
+    def test_golden_report_reproduced(self, tmp_path):
+        # the smoke checkpoint is retrained from the golden config and dataset,
+        # pinned by its SHA-256, and must reproduce the stored report
         # byte-for-byte (regenerate via tests/golden/regenerate.py)
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(GOLDEN / "run.txt"),
+                     "--data", str(GOLDEN / "data"), "--out", str(run)]) == 0
+        digest = hashlib.sha256((run / "model.ckpt").read_bytes()).hexdigest()
+        assert digest == (GOLDEN / "model.ckpt.sha256").read_text().strip()
         out = tmp_path / "report.txt"
-        code = main(["eval", "--checkpoint", str(GOLDEN / "run" / "model.ckpt"),
+        code = main(["eval", "--checkpoint", str(run / "model.ckpt"),
                      "--data", str(GOLDEN / "data"), "--split", "test",
                      "--threshold", "0.0", "--out", str(out)])
         assert code == 0
         assert out.read_bytes() == (GOLDEN / "report.txt").read_bytes()
+
+    def test_corrupt_checkpoint_key_exit_code(self, workspace, capsys):
+        ckpt = train_run(workspace) / "model.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes().replace(b"\nnum_nodes=", b"\nnodes=", 1))
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--data", str(workspace / "data")])
+        assert code == 2
+        assert "corrupt checkpoint" in capsys.readouterr().err
 
     def test_node_count_mismatch(self, workspace, tmp_path, capsys):
         out = train_run(workspace)

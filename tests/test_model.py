@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import stgormer.model
 from stgormer.data import Normalizer
 from stgormer.graph import SpatioTemporalGraph, relabel
 from stgormer.model import (StgormerConfig, build, load_model, loss,
@@ -101,13 +104,21 @@ class TestForward:
         x, ts, _ = sample_inputs(cfg, g.num_nodes)
         assert model.forward(x, ts).shape == (3, g.num_nodes, 1)
 
-    def test_block_order_realized_in_sequence(self):
+    def test_block_order_realized_in_sequence(self, monkeypatch):
         cfg = small_config(block_order="STTS")
         g = small_graph()
         model = build(cfg, g)
         x, ts, _ = sample_inputs(cfg, g.num_nodes)
         trace = []
-        model.forward_batch(x[None], ts[None], trace=trace)
+        for axis, name in (("S", "spatial_attention"), ("T", "temporal_attention")):
+            real = getattr(stgormer.model, name)
+
+            def record(*args, axis=axis, real=real):
+                trace.append(axis)
+                return real(*args)
+
+            monkeypatch.setattr(stgormer.model, name, record)
+        model.forward_batch(x[None], ts[None])
         assert trace == ["S", "T", "T", "S"]
 
     def test_shape_errors(self):
@@ -338,6 +349,31 @@ class TestCheckpoint:
         p = tmp_path / "bad.ckpt"
         p.write_bytes(b"nonsense\n")
         with pytest.raises(ValueError, match="magic"):
+            load_model(p)
+
+    def test_missing_config_field_takes_default(self, tmp_path):
+        cfg = small_config(alpha=0.5)
+        model = build(cfg, small_graph())
+        p = tmp_path / "model.ckpt"
+        save_model(model, p)
+        p.write_bytes(p.read_bytes().replace(b"\nalpha=0.5\n", b"\n", 1))
+        loaded = load_model(p)
+        assert loaded.config == dataclasses.replace(cfg, alpha=StgormerConfig().alpha)
+        for (_, t1), (_, t2) in zip(model.store.items(), loaded.store.items()):
+            assert np.array_equal(t1.data, t2.data)
+
+    @pytest.mark.parametrize("line,renamed", [
+        (b"num_nodes=", b"nodes="), (b"directed=", b"direct="), (b"edges=", b"arcs="),
+        (b"present=", b"has="), (b"mean=", b"avg="), (b"std=", b"sd=")])
+    def test_renamed_graph_or_normalizer_key_rejected(self, tmp_path, line, renamed):
+        model = build(small_config(), small_graph())
+        model.normalizer = Normalizer(mean=np.array([1.5]), std=np.array([2.5]))
+        p = tmp_path / "model.ckpt"
+        save_model(model, p)
+        data = p.read_bytes()
+        assert data.count(b"\n" + line) == 1
+        p.write_bytes(data.replace(b"\n" + line, b"\n" + renamed))
+        with pytest.raises(ValueError, match="corrupt checkpoint: .*" + line[:-1].decode()):
             load_model(p)
 
     def test_truncated_payload_rejected(self, tmp_path):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stgormer.moe import (ExpertParams, MoEState, RouterParams, expert_forward,
-                          gate, load_balance_loss, moe_forward, reset_state)
+                          gate, load_balance_loss, moe_forward)
 from stgormer.numerics import ParameterStore, Tensor, finite_difference_check
 
 
@@ -167,7 +167,7 @@ class TestMoEState:
     def test_reset_then_query_rejected(self):
         state = MoEState(2)
         state.accumulate(Tensor([[0.5, 0.5]]))
-        reset_state(state)
+        state.reset()
         with pytest.raises(ValueError, match="empty state"):
             load_balance_loss(state)
 

@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 
 from stgormer.numerics import (AdamState, ParameterStore, Tensor, adam_step,
                                backward, concat, finite_difference_check,
-                               gather_rows, layer_norm, linear, load_store,
-                               save_store, scheduled_lr, softmax)
+                               gather_rows, layer_norm, linear, read_param_block,
+                               scheduled_lr, softmax, write_param_block)
 
 
 def triple_loop_matmul(x, w, b):
@@ -323,8 +325,7 @@ class TestPrimitiveGradients:
         self.check(lambda t: (gather_rows(t, idx) ** 2).sum(), [(3, 5)])
 
     def test_nonlinearities(self):
-        self.check(lambda a: (a.relu() + a.sin() + a.exp() +
-                              (a * a + 1.0).log() + (a + 10.0).abs()).sum(),
+        self.check(lambda a: (a.relu() + a.sin() + (a + 10.0).abs()).sum(),
                    [(4, 3)])
 
     def test_softmax_layer_norm_composed(self):
@@ -333,35 +334,37 @@ class TestPrimitiveGradients:
             [(3, 6), (6,), (6,)], tol=1e-5)
 
 
+def param_block_bytes(store: ParameterStore) -> bytes:
+    buf = io.BytesIO()
+    write_param_block(buf, store)
+    return buf.getvalue()
+
+
 class TestCheckpoint:
-    def test_round_trip_bitwise(self, tmp_path):
+    def test_round_trip_bitwise(self):
         rng = np.random.default_rng(12)
         store = ParameterStore()
         store.add("deep.nested.w", rng.normal(size=(3, 4)))
         store.add("bias", rng.normal(size=7))
         store.add("table", rng.normal(size=(2, 2, 2)))
-        path = tmp_path / "store.ckpt"
-        save_store(store, path)
-        values = load_store(path)
+        buf = io.BytesIO(param_block_bytes(store))
+        values = read_param_block(buf)
+        assert buf.read() == b""
         assert set(values) == {"deep.nested.w", "bias", "table"}
         for p, t in store.items():
             assert np.array_equal(values[p], t.data)
             assert values[p].dtype == np.float64
 
-    def test_save_is_deterministic(self, tmp_path):
+    def test_save_is_deterministic(self):
         store = ParameterStore()
         store.add("b", np.array([1.0]))
         store.add("a", np.array([2.0, 3.0]))
-        p1, p2 = tmp_path / "1.ckpt", tmp_path / "2.ckpt"
-        save_store(store, p1)
-        save_store(store, p2)
-        assert p1.read_bytes() == p2.read_bytes()
+        assert param_block_bytes(store) == param_block_bytes(store)
 
-    def test_bad_magic_rejected(self, tmp_path):
-        p = tmp_path / "x.ckpt"
-        p.write_bytes(b"something else\n")
-        with pytest.raises(ValueError, match="magic"):
-            load_store(p)
+    def test_bad_magic_rejected(self):
+        # the block's "[params]" tag is its magic
+        with pytest.raises(ValueError, match=r"expected \[params\]"):
+            read_param_block(io.BytesIO(b"something else\n"))
 
     def test_duplicate_path_rejected(self):
         store = ParameterStore()
