@@ -282,7 +282,10 @@ def save_flows(path, ds: FlowDataset) -> None:
 
 def load_flows(path, graph: SpatioTemporalGraph,
                timestamps: np.ndarray) -> FlowDataset:
-    """Parse a flow file, cross-checking node count and step count."""
+    """Parse a flow file, cross-checking node count and step count.
+
+    Every cell must be a finite decimal; errors name the file's line number.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     if not lines:
@@ -297,21 +300,26 @@ def load_flows(path, graph: SpatioTemporalGraph,
     if n != graph.num_nodes:
         raise FlowFormatError(
             f"header says {n} nodes but graph has {graph.num_nodes}")
-    data_lines = [ln for ln in lines[1:] if ln.strip()]
+    data_lines = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2)
+                  if ln.strip()]
     if len(data_lines) != t * n:
         raise FlowFormatError(
             f"expected {t * n} data lines (T*N) but found {len(data_lines)}")
     values = np.empty((t * n, c), dtype=np.float64)
-    for i, raw in enumerate(data_lines):
+    for i, (lineno, raw) in enumerate(data_lines):
         cells = raw.strip().split(",")
         if len(cells) != c:
             raise FlowFormatError(
-                f"line {i + 2}: expected {c} channels, found {len(cells)}")
+                f"line {lineno}: expected {c} channels, found {len(cells)}")
         try:
             values[i] = [float(cell) for cell in cells]
         except ValueError:
             raise FlowFormatError(
-                f"line {i + 2}: non-numeric cell in {raw.strip()!r}") from None
+                f"line {lineno}: non-numeric cell in {raw.strip()!r}") from None
+    finite = np.isfinite(values).all(axis=1)
+    if not finite.all():
+        lineno, raw = data_lines[int(np.argmin(finite))]
+        raise FlowFormatError(f"line {lineno}: non-finite cell in {raw.strip()!r}")
     flows = values.reshape(t, n, c)
     if timestamps.shape[0] != t:
         raise FlowFormatError(

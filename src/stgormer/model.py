@@ -19,8 +19,7 @@ from .attention import AttentionParams, spatial_attention, spd_bias, temporal_at
 from .encoding import (DegreeEmbeddingTables, Time2VecParams, fuse_inputs,
                        spatial_input_encoding, temporal_input_encoding)
 from .graph import SpatioTemporalGraph, SpdMatrix, shortest_path_matrix
-from .moe import (ExpertParams, MoEState, RouterParams, expert_forward,
-                  load_balance_loss, moe_forward)
+from .moe import ExpertParams, RouterParams, expert_forward, load_balance_loss, moe_forward
 from .numerics import (ParameterStore, Tensor, layer_norm, linear,
                        read_param_block, write_param_block)
 
@@ -108,7 +107,6 @@ class Block:
     attn: AttentionParams
     experts: list[ExpertParams]
     router: RouterParams | None
-    state: MoEState | None
     norm1_gamma: Tensor
     norm1_beta: Tensor
     norm2_gamma: Tensor
@@ -199,14 +197,12 @@ class StgormerModel:
                 for j in range(n_experts)
             ]
             router = None
-            state = None
             if config.use_moe:
                 router = RouterParams(
                     w=init.weight(f"{base}.ffn.router.w", d, config.experts),
                     b=init.zeros(f"{base}.ffn.router.b", config.experts))
-                state = MoEState(config.experts)
             self.blocks.append(Block(
-                axis=axis, attn=attn, experts=experts, router=router, state=state,
+                axis=axis, attn=attn, experts=experts, router=router,
                 norm1_gamma=init.ones(f"{base}.norm1.gamma", d),
                 norm1_beta=init.zeros(f"{base}.norm1.beta", d),
                 norm2_gamma=init.ones(f"{base}.norm2.gamma", d),
@@ -217,23 +213,18 @@ class StgormerModel:
         self.head_w = init.weight("head.w", head_in, head_out)
         self.head_b = init.zeros("head.b", head_out)
 
-    # -- state -------------------------------------------------------------
-
-    @property
-    def moe_states(self) -> list[MoEState]:
-        return [b.state for b in self.blocks if b.state is not None]
-
-    def reset_moe_states(self) -> None:
-        for s in self.moe_states:
-            s.reset()
-
     def parameter_count(self) -> int:
         return self.store.num_values()
 
     # -- forward -----------------------------------------------------------
 
-    def forward_batch(self, x: np.ndarray, timestamps: np.ndarray) -> Tensor:
-        """Batched forward: (B, T, N, C) plus (B, T, k) -> (B, horizon, N, C)."""
+    def forward_batch(self, x: np.ndarray,
+                      timestamps: np.ndarray) -> tuple[Tensor, list[Tensor]]:
+        """Batched forward: (B, T, N, C) plus (B, T, k) -> (B, horizon, N, C).
+
+        Also returns the gate usage of each MoE block in block order (empty
+        when MoE is off), for the balance term of ``loss``.
+        """
         cfg = self.config
         x = np.asarray(x, dtype=np.float64)
         timestamps = np.asarray(timestamps, dtype=np.float64)
@@ -257,6 +248,7 @@ class StgormerModel:
 
         bias = (spd_bias(self.spd, self.spd_table, cfg.max_spd)
                 if cfg.use_spd_bias else None)
+        usage = []
         for block in self.blocks:
             if block.axis == "S":
                 attended = spatial_attention(h, block.attn, bias)
@@ -264,27 +256,27 @@ class StgormerModel:
                 attended = temporal_attention(h, block.attn)
             u = layer_norm(h + attended, block.norm1_gamma, block.norm1_beta)
             if block.router is not None:
-                f = moe_forward(u, block.experts, block.router, block.state)
+                f, block_usage = moe_forward(u, block.experts, block.router)
+                usage.append(block_usage)
             else:
                 f = expert_forward(u, block.experts[0])
             h = layer_norm(u + f, block.norm2_gamma, block.norm2_beta)
 
         per_node = h.transpose(0, 2, 1, 3).reshape(b, n, t * cfg.hidden_dim)
         out = linear(per_node, self.head_w, self.head_b)
-        return out.reshape(b, n, cfg.horizon, cfg.channels).transpose(0, 2, 1, 3)
+        return out.reshape(b, n, cfg.horizon, cfg.channels).transpose(0, 2, 1, 3), usage
 
     def forward(self, x: np.ndarray, timestamps: np.ndarray) -> Tensor:
         """Single-window forward: (T, N, C) plus (T, k) -> (horizon, N, C)."""
-        pred = self.forward_batch(x[None, ...], np.asarray(timestamps)[None, ...])
+        pred, _ = self.forward_batch(x[None, ...], np.asarray(timestamps)[None, ...])
         return pred.reshape(pred.shape[1:])
 
     def predict(self, window: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
-        """Forecast on the original scale; gate statistics are not retained."""
+        """Forecast on the original scale."""
         if self.normalizer is None:
             raise ValueError("model has no normalizer attached; train or load first")
         pred = self.forward(self.normalizer.apply(np.asarray(window, dtype=np.float64)),
                             timestamps)
-        self.reset_moe_states()
         return self.normalizer.invert(pred.data)
 
 
@@ -292,19 +284,22 @@ def build(config: StgormerConfig, graph: SpatioTemporalGraph) -> StgormerModel:
     return StgormerModel(config, graph)
 
 
-def loss(pred: Tensor, target: np.ndarray, moe_states: list[MoEState],
+def loss(pred: Tensor, target: np.ndarray, usage: list[Tensor],
          alpha: float) -> tuple[Tensor, dict]:
-    """Mean absolute error plus alpha times the mean per-layer balance loss."""
+    """Mean absolute error plus alpha times the mean per-layer balance loss.
+
+    ``usage`` is the per-block gate usage that ``forward_batch`` returns.
+    """
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"prediction shape {pred.shape} != target shape {target.shape}")
     mae = (pred - Tensor(target)).abs().mean()
-    if moe_states:
+    if usage:
         lb = None
-        for s in moe_states:
-            term = load_balance_loss(s)
+        for u in usage:
+            term = load_balance_loss(u)
             lb = term if lb is None else lb + term
-        lb = lb * (1.0 / len(moe_states))
+        lb = lb * (1.0 / len(usage))
         total = mae + alpha * lb
         return total, {"mae": mae.item(), "lb": lb.item()}
     return mae, {"mae": mae.item(), "lb": 0.0}
@@ -369,6 +364,8 @@ def load_model(path) -> StgormerModel:
             raise ValueError(f"not a model checkpoint: bad magic {magic!r}")
         sections = {tag: _read_section(fh, tag) for tag in ("config", "graph", "normalizer")}
         values = read_param_block(fh)
+        if fh.read(1):
+            raise ValueError("corrupt checkpoint: trailing bytes after the parameter payload")
 
     def required(tag: str, key: str) -> str:
         if key not in sections[tag]:

@@ -28,45 +28,6 @@ class RouterParams:
     b: Tensor
 
 
-class MoEState:
-    """Accumulates gate probability mass per expert within one training step.
-
-    The accumulator is kept as a graph tensor so the balance loss
-    backpropagates into the router.  Reset at the start of every step.
-    """
-
-    def __init__(self, num_experts: int):
-        self.num_experts = num_experts
-        self._prob_sum: Tensor | None = None
-        self._token_count = 0
-
-    @property
-    def token_count(self) -> int:
-        return self._token_count
-
-    def accumulate(self, weights: Tensor) -> None:
-        """Add a batch of per-token gate weights (..., E) to the running sums."""
-        if weights.shape[-1] != self.num_experts:
-            raise ValueError("gate width does not match expert count")
-        tokens = 1
-        for extent in weights.shape[:-1]:
-            tokens *= extent
-        flat = weights.reshape(tokens, self.num_experts)
-        summed = flat.sum(axis=0)
-        self._prob_sum = summed if self._prob_sum is None else self._prob_sum + summed
-        self._token_count += tokens
-
-    def fractions(self) -> Tensor:
-        """Mean gate probability per expert over the accumulated tokens."""
-        if self._token_count == 0:
-            raise ValueError("empty state: no tokens accumulated since reset")
-        return self._prob_sum * (1.0 / float(self._token_count))
-
-    def reset(self) -> None:
-        self._prob_sum = None
-        self._token_count = 0
-
-
 def expert_forward(x: Tensor, expert: ExpertParams) -> Tensor:
     return linear(linear(x, expert.w1, expert.b1).relu(), expert.w2, expert.b2)
 
@@ -76,24 +37,26 @@ def gate(x: Tensor, router: RouterParams) -> Tensor:
     return softmax(linear(x, router.w, router.b), axis=-1)
 
 
-def moe_forward(x: Tensor, experts: list[ExpertParams], router: RouterParams,
-                state: MoEState | None = None) -> Tensor:
-    """Dense soft mixture: sum_i gate_i(x) * expert_i(x), tracking gate stats."""
+def moe_forward(x: Tensor, experts: list[ExpertParams],
+                router: RouterParams) -> tuple[Tensor, Tensor]:
+    """Dense soft mixture sum_i gate_i(x) * expert_i(x), plus the gate usage.
+
+    The usage is the mean gate probability per expert over every token of
+    ``x``, kept in the graph so the balance loss backpropagates into the router.
+    """
     weights = gate(x, router)
-    if state is not None:
-        state.accumulate(weights)
+    usage = weights.reshape(-1, weights.shape[-1]).mean(axis=0)
     out = None
     for i, expert in enumerate(experts):
         term = weights[..., i:i + 1] * expert_forward(x, expert)
         out = term if out is None else out + term
-    return out
+    return out, usage
 
 
-def load_balance_loss(state: MoEState) -> Tensor:
-    """Mean squared probability fraction: (1/E) * sum_i f_i^2.
+def load_balance_loss(usage: Tensor) -> Tensor:
+    """Mean squared usage fraction: (1/E) * sum_i f_i^2 for usage f of length E.
 
     Minimized at uniform usage (value 1/E^2), maximized when one expert
     takes everything (value 1/E).
     """
-    f = state.fractions()
-    return (f * f).sum() * (1.0 / float(state.num_experts))
+    return (usage * usage).sum() * (1.0 / float(usage.shape[-1]))

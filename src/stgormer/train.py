@@ -86,6 +86,23 @@ def _normalized_dataset(ds: FlowDataset, normalizer) -> FlowDataset:
     return FlowDataset(normalizer.apply(ds.flows), ds.timestamps, ds.graph)
 
 
+# No batch's autodiff graph outlives its batch: from each forward_batch,
+# training, validation and evaluation keep only ndarrays and floats before
+# the next one runs, so memory does not grow with the number of batches.
+def _train_step(model: StgormerModel, opt: AdamState, xs, tss, ys,
+                epoch: int) -> tuple[dict, list[np.ndarray]]:
+    """One optimizer step on a batch; returns the loss parts and the gate usage."""
+    pred, usage = model.forward_batch(xs, tss)
+    total, parts = loss(pred, ys, usage, model.config.alpha)
+    if not np.isfinite(total.item()):
+        raise DivergenceError(
+            f"non-finite loss at epoch {epoch} (mae={parts['mae']}, "
+            f"lb={parts['lb']}); lower the learning rate")
+    backward(total, model.store)
+    adam_step(model.store, opt)
+    return parts, [u.data for u in usage]
+
+
 def _validation_mae(model: StgormerModel, windows, batch_size: int) -> float:
     """Plain MAE over all validation windows, on the normalized scale."""
     total_abs = 0.0
@@ -93,10 +110,9 @@ def _validation_mae(model: StgormerModel, windows, batch_size: int) -> float:
     for start in range(0, len(windows), batch_size):
         idx = range(start, min(start + batch_size, len(windows)))
         xs, tss, ys = _stack_windows(windows, idx)
-        pred = model.forward_batch(xs, tss)
-        total_abs += float(np.abs(pred.data - ys).sum())
+        pred = model.forward_batch(xs, tss)[0].data
+        total_abs += float(np.abs(pred - ys).sum())
         total_count += ys.size
-    model.reset_moe_states()
     return total_abs / total_count
 
 
@@ -142,19 +158,10 @@ def train_loop(model: StgormerModel, splits: tuple[FlowDataset, FlowDataset],
         for start in range(0, len(order), tcfg.batch_size):
             batch = order[start:start + tcfg.batch_size]
             xs, tss, ys = _stack_windows(train_windows, batch)
-            model.reset_moe_states()
-            pred = model.forward_batch(xs, tss)
-            total, parts = loss(pred, ys, model.moe_states, cfg.alpha)
-            if not np.isfinite(total.item()):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch} (mae={parts['mae']}, "
-                    f"lb={parts['lb']}); lower the learning rate")
-            backward(total, model.store)
-            adam_step(model.store, opt)
+            parts, fracs = _train_step(model, opt, xs, tss, ys, epoch)
             abs_sum += parts["mae"] * ys.size
             abs_count += ys.size
             lb_sum += parts["lb"]
-            fracs = [s.fractions().data for s in model.moe_states]
             if fracs:
                 if not frac_sum:
                     frac_sum = [f.copy() for f in fracs]
@@ -188,7 +195,6 @@ def train_loop(model: StgormerModel, splits: tuple[FlowDataset, FlowDataset],
                 break
 
     model.store.restore(best_values)
-    model.reset_moe_states()
     if history.best_epoch == 0 and history.epochs:
         history.best_epoch = 1
     if tcfg.checkpoint_dir:
@@ -212,10 +218,9 @@ def evaluate(model: StgormerModel, ds: FlowDataset, threshold: float,
     for start in range(0, len(windows), batch_size):
         idx = range(start, min(start + batch_size, len(windows)))
         xs, tss, ys = _stack_windows(windows, idx)
-        pred = model.forward_batch(model.normalizer.apply(xs), tss)
-        preds.append(model.normalizer.invert(pred.data))
+        pred = model.forward_batch(model.normalizer.apply(xs), tss)[0].data
+        preds.append(model.normalizer.invert(pred))
         targets.append(ys)
-    model.reset_moe_states()
     return metrics(np.concatenate(targets), np.concatenate(preds), threshold)
 
 

@@ -15,7 +15,7 @@ from stgormer.data import (SyntheticSpec, fit_normalizer, make_windows,
 from stgormer.graph import (UNREACHABLE, SpatioTemporalGraph, relabel,
                             shortest_path_matrix)
 from stgormer.model import StgormerConfig, build, loss
-from stgormer.moe import MoEState, load_balance_loss
+from stgormer.moe import load_balance_loss
 from stgormer.numerics import Tensor, finite_difference_check
 from stgormer.train import TrainConfig, train_loop
 
@@ -96,9 +96,8 @@ def test_criterion_02_full_model_gradient_check():
         y = rng.normal(size=(cfg.horizon, 6, 1))
 
         def forward():
-            model.reset_moe_states()
-            pred = model.forward(x, ts)
-            total, _ = loss(pred, y, model.moe_states, cfg.alpha)
+            pred, usage = model.forward_batch(x[None], ts[None])
+            total, _ = loss(pred, y[None], usage, cfg.alpha)
             return total
 
         # keep every residual away from the |.| kink so central differences
@@ -113,16 +112,13 @@ def test_criterion_02_full_model_gradient_check():
 def test_criterion_03_load_balance_extremes():
     with Budget("03 load-balance loss extremes", 1):
         for experts in (2, 4, 6):
-            state = MoEState(experts)
-            state.accumulate(Tensor([[1.0 / experts] * experts]))
-            assert abs(load_balance_loss(state).item() - 1.0 / experts ** 2) < 1e-12
+            usage = Tensor([1.0 / experts] * experts)
+            assert abs(load_balance_loss(usage).item() - 1.0 / experts ** 2) < 1e-12
         rng = np.random.default_rng(3)
         for _ in range(1000):
             experts = int(rng.integers(2, 7))
             point = rng.dirichlet(np.ones(experts))
-            state = MoEState(experts)
-            state.accumulate(Tensor(point[None, :]))
-            value = load_balance_loss(state).item()
+            value = load_balance_loss(Tensor(point)).item()
             assert 1.0 / experts ** 2 - 1e-12 <= value <= 1.0 / experts + 1e-12
             if np.max(np.abs(point - 1.0 / experts)) > 1e-9:
                 assert value > 1.0 / experts ** 2
@@ -159,10 +155,9 @@ def test_criterion_04_ablation_bit_equivalences():
         # (d) single-expert soft mixture == plain feedforward path
         m_one = build(desk_config(use_moe=True, experts=1), g)
         m_plain = build(desk_config(use_moe=False), g)
-        m_one.reset_moe_states()
         assert np.max(np.abs(m_one.forward(x, ts).data
                              - m_plain.forward(x, ts).data)) < 1e-12
-        assert m_plain.moe_states == []
+        assert m_plain.forward_batch(x[None], ts[None])[1] == []
 
 
 def test_criterion_05_node_permutation_equivariance():
@@ -223,9 +218,8 @@ def test_criterion_06_overfit_sanity():
                 xs = np.stack([windows[i].x for i in batch])
                 tss = np.stack([windows[i].x_timestamps for i in batch])
                 ys = np.stack([windows[i].y for i in batch])
-                model.reset_moe_states()
-                pred = model.forward_batch(xs, tss)
-                total, parts = loss(pred, ys, model.moe_states, cfg.alpha)
+                pred, usage = model.forward_batch(xs, tss)
+                total, parts = loss(pred, ys, usage, cfg.alpha)
                 backward(total, model.store)
                 adam_step(model.store, opt)
                 steps += 1

@@ -244,6 +244,27 @@ class TestEval:
         assert code == 2
         assert "corrupt checkpoint" in capsys.readouterr().err
 
+    def test_trailing_checkpoint_bytes_exit_code(self, workspace, capsys):
+        ckpt = train_run(workspace) / "model.ckpt"
+        ckpt.write_bytes(ckpt.read_bytes() + b"\n")
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--data", str(workspace / "data"),
+                     "--out", str(workspace / "report.txt")])
+        assert code == 2
+        assert "corrupt checkpoint: trailing bytes" in capsys.readouterr().err
+
+    def test_non_finite_flow_in_test_split_exit_code(self, workspace, capsys):
+        out = train_run(workspace)
+        flows = workspace / "data" / "flows.txt"
+        lines = flows.read_text().splitlines(keepends=True)
+        lines[-1] = ",".join(["nan"] * len(lines[-1].split(","))) + "\n"
+        flows.write_text("".join(lines))
+        code = main(["eval", "--checkpoint", str(out / "model.ckpt"),
+                     "--data", str(workspace / "data"), "--split", "test",
+                     "--out", str(workspace / "report.txt")])
+        assert code == 2
+        assert f"line {len(lines)}: non-finite" in capsys.readouterr().err
+
     def test_node_count_mismatch(self, workspace, tmp_path, capsys):
         out = train_run(workspace)
         (tmp_path / "other.txt").write_text(

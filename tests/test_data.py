@@ -271,6 +271,21 @@ class TestFlowFiles:
         with pytest.raises(FlowFormatError, match="line 3"):
             load_flows(p, g, np.zeros((1, 2)))
 
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        p = tmp_path / "flows.txt"
+        p.write_text("2 2 1\n\n1.0\n2.0\npotato\n4.0\n")
+        g = SpatioTemporalGraph.from_edge_list(2, [(0, 1)])
+        with pytest.raises(FlowFormatError, match="^line 5: "):
+            load_flows(p, g, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_cell_names_line(self, tmp_path, cell):
+        p = tmp_path / "flows.txt"
+        p.write_text(f"1 3 2\n1.0,2.0\n\n3.0,{cell}\n5.0,6.0\n")
+        g = SpatioTemporalGraph.from_edge_list(3, [(0, 1)])
+        with pytest.raises(FlowFormatError, match="^line 4: non-finite"):
+            load_flows(p, g, np.zeros((1, 2)))
+
     def test_graph_mismatch_rejected(self, tmp_path):
         p = tmp_path / "flows.txt"
         p.write_text("1 3 1\n1.0\n2.0\n3.0\n")

@@ -8,7 +8,6 @@ from stgormer.data import Normalizer
 from stgormer.graph import SpatioTemporalGraph, relabel
 from stgormer.model import (StgormerConfig, build, load_model, loss,
                             save_model)
-from stgormer.moe import MoEState
 from stgormer.numerics import Tensor, finite_difference_check
 
 
@@ -215,7 +214,6 @@ class TestAblationEquivalences:
         m_single = build(small_config(use_moe=True, experts=1), g)
         m_plain = build(small_config(use_moe=False, experts=5), g)
         x, ts, _ = sample_inputs(small_config(), g.num_nodes)
-        m_single.reset_moe_states()
         a = m_single.forward(x, ts).data
         b = m_plain.forward(x, ts).data
         assert np.max(np.abs(a - b)) < 1e-12
@@ -225,9 +223,9 @@ class TestAblationEquivalences:
         cfg = small_config(use_moe=False)
         model = build(cfg, g)
         x, ts, y = sample_inputs(cfg, g.num_nodes)
-        pred = model.forward(x, ts)
-        assert model.moe_states == []
-        total, parts = loss(pred, y, model.moe_states, cfg.alpha)
+        pred, usage = model.forward_batch(x[None], ts[None])
+        assert usage == []
+        total, parts = loss(pred, y[None], usage, cfg.alpha)
         assert parts["lb"] == 0.0
         assert total.item() == parts["mae"]
 
@@ -240,18 +238,16 @@ class TestLoss:
         assert total.item() == 0.0
 
     def test_alpha_zero_collapses_to_mae(self):
-        state = MoEState(4)
-        state.accumulate(Tensor([[0.7, 0.1, 0.1, 0.1]]))
+        usage = Tensor([0.7, 0.1, 0.1, 0.1])
         pred = Tensor(np.array([2.0, 0.0]))
-        total, parts = loss(pred, np.zeros(2), [state], 0.0)
+        total, parts = loss(pred, np.zeros(2), [usage], 0.0)
         assert total.item() == parts["mae"] == 1.0
 
     def test_hand_evaluated_total(self):
         pred = Tensor(np.array([1.0, -2.0, 3.0]))
         target = np.zeros(3)
-        state = MoEState(6)
-        state.accumulate(Tensor([[1.0 / 6.0] * 6]))
-        total, parts = loss(pred, target, [state], 0.01)
+        usage = Tensor([1.0 / 6.0] * 6)
+        total, parts = loss(pred, target, [usage], 0.01)
         assert parts["mae"] == 2.0
         assert abs(parts["lb"] - 1.0 / 36.0) < 1e-15
         assert abs(total.item() - (2.0 + 0.01 / 36.0)) < 1e-15
@@ -306,9 +302,8 @@ class TestFullGradient:
         x, ts, y = sample_inputs(cfg, g.num_nodes, seed=5)
 
         def fwd():
-            model.reset_moe_states()
-            pred = model.forward(x, ts)
-            total, _ = loss(pred, y, model.moe_states, cfg.alpha)
+            pred, usage = model.forward_batch(x[None], ts[None])
+            total, _ = loss(pred, y[None], usage, cfg.alpha)
             return total
 
         assert finite_difference_check(fwd, model.store, max_coords=120) < 1e-4

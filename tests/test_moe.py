@@ -1,10 +1,9 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stgormer.moe import (ExpertParams, MoEState, RouterParams, expert_forward,
-                          gate, load_balance_loss, moe_forward)
+from stgormer.moe import (ExpertParams, RouterParams, expert_forward, gate,
+                          load_balance_loss, moe_forward)
 from stgormer.numerics import ParameterStore, Tensor, finite_difference_check
 
 
@@ -66,7 +65,7 @@ class TestMoEForward:
         expert = make_expert(rng, 4, 8)
         router = make_router(rng, 4, 1)
         x = Tensor(rng.normal(size=(5, 4)))
-        mixed = moe_forward(x, [expert], router).data
+        mixed = moe_forward(x, [expert], router)[0].data
         plain = expert_forward(x, expert).data
         assert np.max(np.abs(mixed - plain)) < 1e-12
 
@@ -77,7 +76,7 @@ class TestMoEForward:
                   for _ in range(3)]
         router = make_router(rng, 4, 3)
         x = Tensor(rng.normal(size=(5, 4)))
-        mixed = moe_forward(x, clones, router).data
+        mixed = moe_forward(x, clones, router)[0].data
         single = expert_forward(x, expert).data
         assert np.max(np.abs(mixed - single)) < 1e-12
 
@@ -86,7 +85,7 @@ class TestMoEForward:
         experts = [make_expert(rng, 4, 6) for _ in range(3)]
         router = make_router(rng, 4, 3)
         x = rng.normal(size=(2, 3, 4))
-        got = moe_forward(Tensor(x), experts, router).data
+        got = moe_forward(Tensor(x), experts, router)[0].data
         weights = gate(Tensor(x), router).data
         expected = np.zeros_like(x)
         for i, e in enumerate(experts):
@@ -103,31 +102,22 @@ class TestMoEForward:
         target = rng.normal(size=(4, 3))
 
         def fwd():
-            state = MoEState(3)
-            out = moe_forward(Tensor(x), experts, router, state)
+            out, usage = moe_forward(Tensor(x), experts, router)
             err = ((out - Tensor(target)) ** 2).mean()
-            return err + 0.1 * load_balance_loss(state)
+            return err + 0.1 * load_balance_loss(usage)
 
         assert finite_difference_check(fwd, store) < 1e-4
 
 
 class TestLoadBalanceLoss:
-    def state_with(self, weight_rows):
-        state = MoEState(len(weight_rows[0]))
-        state.accumulate(Tensor(np.asarray(weight_rows, dtype=float)))
-        return state
-
     def test_uniform_four_experts(self):
-        state = self.state_with([[0.25, 0.25, 0.25, 0.25]])
-        assert load_balance_loss(state).item() == 0.0625
+        assert load_balance_loss(Tensor([0.25, 0.25, 0.25, 0.25])).item() == 0.0625
 
     def test_fully_collapsed(self):
-        state = self.state_with([[1.0, 0.0, 0.0, 0.0]])
-        assert load_balance_loss(state).item() == 0.25
+        assert load_balance_loss(Tensor([1.0, 0.0, 0.0, 0.0])).item() == 0.25
 
     def test_hand_evaluated_two_experts(self):
-        state = self.state_with([[0.9, 0.1]])
-        assert abs(load_balance_loss(state).item() - 0.41) < 1e-15
+        assert abs(load_balance_loss(Tensor([0.9, 0.1])).item() - 0.41) < 1e-15
 
     @given(st.integers(2, 6), st.lists(st.floats(0.01, 10.0), min_size=2,
                                        max_size=6))
@@ -135,8 +125,7 @@ class TestLoadBalanceLoss:
     def test_bounds_on_simplex(self, experts, raw):
         raw = (raw * experts)[:experts]
         point = np.array(raw) / np.sum(raw)
-        state = self.state_with([point.tolist()])
-        value = load_balance_loss(state).item()
+        value = load_balance_loss(Tensor(point)).item()
         lower, upper = 1.0 / experts ** 2, 1.0 / experts
         assert lower - 1e-12 <= value <= upper + 1e-12
         if np.max(np.abs(point - 1.0 / experts)) > 1e-6:
@@ -144,49 +133,40 @@ class TestLoadBalanceLoss:
 
     def test_minimum_exactly_at_uniform(self):
         for experts in (2, 4, 6):
-            state = self.state_with([[1.0 / experts] * experts])
-            assert abs(load_balance_loss(state).item() - 1.0 / experts ** 2) < 1e-12
+            usage = Tensor([1.0 / experts] * experts)
+            assert abs(load_balance_loss(usage).item() - 1.0 / experts ** 2) < 1e-12
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(58)
         point = rng.dirichlet(np.ones(5))
-        base = load_balance_loss(self.state_with([point.tolist()])).item()
+        base = load_balance_loss(Tensor(point)).item()
         for _ in range(5):
             perm = rng.permutation(5)
-            shuffled = load_balance_loss(
-                self.state_with([point[perm].tolist()])).item()
+            shuffled = load_balance_loss(Tensor(point[perm])).item()
             assert abs(base - shuffled) < 1e-15
 
 
-class TestMoEState:
-    def test_empty_state_rejected(self):
-        state = MoEState(3)
-        with pytest.raises(ValueError, match="empty state"):
-            state.fractions()
-
-    def test_reset_then_query_rejected(self):
-        state = MoEState(2)
-        state.accumulate(Tensor([[0.5, 0.5]]))
-        state.reset()
-        with pytest.raises(ValueError, match="empty state"):
-            load_balance_loss(state)
+class TestGateUsage:
+    def usage_of(self, x, router):
+        rng = np.random.default_rng(60)
+        experts = [make_expert(rng, x.shape[-1], 3) for _ in range(router.b.shape[0])]
+        return moe_forward(Tensor(x), experts, router)[1].data
 
     def test_single_token_average(self):
-        state = MoEState(2)
-        state.accumulate(Tensor([[0.3, 0.7]]))
-        assert np.allclose(state.fractions().data, [0.3, 0.7], atol=1e-15)
+        router = RouterParams(w=Tensor(np.zeros((2, 2))), b=Tensor(np.log([0.3, 0.7])))
+        usage = self.usage_of(np.ones((1, 2)), router)
+        assert np.allclose(usage, [0.3, 0.7], atol=1e-15)
 
-    def test_two_token_average(self):
-        state = MoEState(2)
-        state.accumulate(Tensor([[1.0, 0.0]]))
-        state.accumulate(Tensor([[0.0, 1.0]]))
-        assert np.array_equal(state.fractions().data, [0.5, 0.5])
-        assert state.token_count == 2
+    def test_per_token_average(self):
+        rng = np.random.default_rng(61)
+        router = make_router(rng, 4, 3)
+        x = rng.normal(size=(2, 5, 4))
+        usage = self.usage_of(x, router)
+        weights = gate(Tensor(x), router).data.reshape(10, 3)
+        assert np.max(np.abs(usage - weights.mean(axis=0))) < 1e-15
 
     def test_fractions_sum_to_one(self):
         rng = np.random.default_rng(59)
         router = make_router(rng, 4, 5)
-        state = MoEState(5)
-        for _ in range(3):
-            state.accumulate(gate(Tensor(rng.normal(size=(2, 6, 4))), router))
-        assert abs(state.fractions().data.sum() - 1.0) < 1e-12
+        usage = self.usage_of(rng.normal(size=(3, 2, 6, 4)), router)
+        assert abs(usage.sum() - 1.0) < 1e-12

@@ -1,9 +1,11 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from stgormer.data import SyntheticSpec, make_windows, metrics, split, synthesize
+from stgormer.data import (FlowDataset, SyntheticSpec, fit_normalizer, make_windows,
+                           metrics, split, synthesize)
 from stgormer.model import StgormerConfig, build, load_model, save_model
 from stgormer.train import (DivergenceError, TrainConfig, evaluate, study,
                             study_variants, train_loop)
@@ -101,9 +103,7 @@ class TestTrainLoop:
         xs = np.stack([w.x for w in windows])
         tss = np.stack([w.x_timestamps for w in windows])
         ys = np.stack([w.y for w in windows])
-        model.reset_moe_states()
-        pred = model.forward_batch(xs, tss).data
-        model.reset_moe_states()
+        pred = model.forward_batch(xs, tss)[0].data
         report = metrics(ys, pred, -np.inf)
         assert abs(history.epochs[0].train_mae - report["mae"]) < 1e-12
 
@@ -219,6 +219,26 @@ class TestEvaluate:
         loaded = load_model(tmp_path / "m.ckpt")
         after = evaluate(loaded, test_ds, 0.0)
         assert before == after
+
+    def test_memory_does_not_grow_with_batch_count(self):
+        # each batch's autodiff graph must be freed before the next batch runs
+        ds = tiny_dataset()
+        model = build(tiny_model_config(), ds.graph)
+        model.normalizer = fit_normalizer(ds)
+        span = model.config.input_len + model.config.horizon - 1
+
+        def eval_peak(batches):
+            steps = span + 16 * batches
+            part = FlowDataset(ds.flows[:steps], ds.timestamps[:steps], ds.graph)
+            tracemalloc.start()
+            try:
+                evaluate(model, part, 0.0, batch_size=16)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one, three = eval_peak(1), eval_peak(3)
+        assert three <= 1.5 * one, f"peak {three} B over 3 batches vs {one} B over 1"
 
     def test_empty_split_rejected(self):
         ds = tiny_dataset()
