@@ -23,7 +23,7 @@ from .moe import ExpertParams, RouterParams, expert_forward, load_balance_loss, 
 from .numerics import (ParameterStore, Tensor, layer_norm, linear,
                        read_param_block, write_param_block)
 
-_MODEL_MAGIC = "stgormer-model-checkpoint 1"
+_MODEL_MAGIC = "stgormer-model-checkpoint 2"
 
 
 @dataclass
@@ -308,6 +308,36 @@ def loss(pred: Tensor, target: np.ndarray, usage: list[Tensor],
 # -- checkpointing -------------------------------------------------------------
 
 
+class _Crc32File:
+    """A binary file plus the running CRC-32 of every byte read or written.
+
+    ``unread`` hands a line back to the next ``readline`` without counting
+    it twice.
+    """
+
+    def __init__(self, fh):
+        self.fh = fh
+        self.crc = 0
+        self._unread = b""
+
+    def _count(self, data: bytes) -> bytes:
+        self.crc = zlib.crc32(data, self.crc)
+        return data
+
+    def write(self, data: bytes) -> None:
+        self.fh.write(self._count(data))
+
+    def read(self, size: int) -> bytes:
+        return self._count(self.fh.read(size))
+
+    def readline(self) -> bytes:
+        line, self._unread = self._unread, b""
+        return line or self._count(self.fh.readline())
+
+    def unread(self, line: bytes) -> None:
+        self._unread = line
+
+
 def _write_section(fh, tag: str, items: dict[str, str]) -> None:
     fh.write(f"[{tag}]\n".encode())
     for k, v in items.items():
@@ -322,7 +352,8 @@ def save_model(model: StgormerModel, path) -> None:
     if norm is not None:
         normalizer["mean"] = kv.encode(tuple(norm.mean))
         normalizer["std"] = kv.encode(tuple(norm.std))
-    with open(path, "wb") as fh:
+    with open(path, "wb") as raw:
+        fh = _Crc32File(raw)
         fh.write(_MODEL_MAGIC.encode() + b"\n")
         _write_section(fh, "config", config)
         _write_section(fh, "graph", {
@@ -331,6 +362,7 @@ def save_model(model: StgormerModel, path) -> None:
             "edges": ";".join(f"{u}:{v}" for u, v in pairs)})
         _write_section(fh, "normalizer", normalizer)
         write_param_block(fh, model.store)
+        raw.write(fh.crc.to_bytes(4, "little"))
 
 
 def _read_section(fh, tag: str) -> dict[str, str]:
@@ -340,10 +372,10 @@ def _read_section(fh, tag: str) -> dict[str, str]:
         raise ValueError(f"corrupt checkpoint: expected [{tag}], got {line!r}")
     items: dict[str, str] = {}
     while True:
-        start = fh.tell()
-        line = fh.readline().decode().rstrip("\n")
+        raw = fh.readline()
+        line = raw.decode().rstrip("\n")
         if not line or line.startswith("["):
-            fh.seek(start)
+            fh.unread(raw)
             return items
         key, eq, value = line.partition("=")
         if not eq or key in items:
@@ -354,18 +386,27 @@ def _read_section(fh, tag: str) -> dict[str, str]:
 def load_model(path) -> StgormerModel:
     """Rebuild a model from its checkpoint, verifying config/parameter agreement.
 
-    Config fields missing from the checkpoint take their defaults.
+    Config fields missing from the checkpoint take their defaults. The
+    CRC-32 trailer must match every byte before it.
     """
     from .data import Normalizer
 
-    with open(path, "rb") as fh:
+    with open(path, "rb") as raw:
+        fh = _Crc32File(raw)
         magic = fh.readline().decode().rstrip("\n")
         if magic != _MODEL_MAGIC:
             raise ValueError(f"not a model checkpoint: bad magic {magic!r}")
         sections = {tag: _read_section(fh, tag) for tag in ("config", "graph", "normalizer")}
         values = read_param_block(fh)
-        if fh.read(1):
-            raise ValueError("corrupt checkpoint: trailing bytes after the parameter payload")
+        trailer = raw.read(4)
+        if len(trailer) != 4:
+            raise ValueError("corrupt checkpoint: truncated checksum trailer")
+        if raw.read(1):
+            raise ValueError("corrupt checkpoint: trailing bytes after the checksum trailer")
+        stored = int.from_bytes(trailer, "little")
+        if stored != fh.crc:
+            raise ValueError(f"corrupt checkpoint: CRC-32 {fh.crc:08x} of the contents "
+                             f"does not match the stored {stored:08x}")
 
     def required(tag: str, key: str) -> str:
         if key not in sections[tag]:

@@ -56,12 +56,14 @@ class Tensor:
     the finite-difference probe do this).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_owns_grad", "_prev", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
+        # a gradient buffer assigned from outside (the store's zeros) is owned
+        self._owns_grad = True
         self._prev: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
 
@@ -79,17 +81,22 @@ class Tensor:
         return out
 
     def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
-        """Add to this node's gradient.
+        """Add to this node's gradient, copying only on a second write.
 
         ``fresh`` asserts the caller allocated ``g`` exclusively for this
-        parent, so the first accumulation may take ownership without copying.
-        Pass-through gradients (views or the consumer's own buffer) must stay
-        unowned or a later += would corrupt a sibling's accumulation.
+        parent, so the node owns it and later contributions add in place.
+        Otherwise ``g`` (a view, or the consumer's own buffer, which siblings
+        may share) is borrowed: a later contribution builds a new array
+        instead of writing into it.
         """
         if self.grad is None:
-            self.grad = g if fresh else np.array(g, dtype=np.float64)
-        else:
+            self.grad = g
+            self._owns_grad = fresh
+        elif self._owns_grad:
             self.grad += g
+        else:
+            self.grad = self.grad + g
+            self._owns_grad = True
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph."""
@@ -110,7 +117,7 @@ class Tensor:
             for parent in node._prev:
                 if id(parent) not in visited:
                     stack.append((parent, False))
-        self._accumulate(np.ones_like(self.data))
+        self._accumulate(np.ones_like(self.data), fresh=True)
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
@@ -309,7 +316,7 @@ class Tensor:
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
-        data = np.where(mask, self.data, 0.0)
+        data = np.maximum(self.data, 0.0)
 
         def back(g: np.ndarray) -> None:
             self._accumulate(g * mask, fresh=True)
@@ -480,8 +487,9 @@ class ParameterStore:
 
     def zero_grad(self) -> None:
         for t in self._params.values():
-            if t.grad is None or t.grad.shape != t.data.shape:
+            if t.grad is None or t.grad.shape != t.data.shape or not t._owns_grad:
                 t.grad = np.zeros_like(t.data)
+                t._owns_grad = True
             else:
                 t.grad.fill(0.0)
 
@@ -628,7 +636,7 @@ def write_param_block(fh, store: ParameterStore) -> None:
         fh.write(f"{path} {dims}".rstrip().encode("utf-8") + b"\n")
     fh.write(b"[data]\n")
     for _, t in items:
-        fh.write(t.data.astype("<f8").tobytes())
+        fh.write(np.ascontiguousarray(t.data, dtype="<f8").data)
 
 
 def read_param_block(fh) -> dict[str, np.ndarray]:

@@ -2,6 +2,7 @@ import hashlib
 import pathlib
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -238,11 +239,12 @@ class TestEval:
 
     def test_corrupt_checkpoint_key_exit_code(self, workspace, capsys):
         ckpt = train_run(workspace) / "model.ckpt"
-        ckpt.write_bytes(ckpt.read_bytes().replace(b"\nnum_nodes=", b"\nnodes=", 1))
+        body = ckpt.read_bytes()[:-4].replace(b"\nnum_nodes=", b"\nnodes=", 1)
+        ckpt.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
         code = main(["eval", "--checkpoint", str(ckpt),
                      "--data", str(workspace / "data")])
         assert code == 2
-        assert "corrupt checkpoint" in capsys.readouterr().err
+        assert "corrupt checkpoint: [graph] has no 'num_nodes'" in capsys.readouterr().err
 
     def test_trailing_checkpoint_bytes_exit_code(self, workspace, capsys):
         ckpt = train_run(workspace) / "model.ckpt"
@@ -252,6 +254,18 @@ class TestEval:
                      "--out", str(workspace / "report.txt")])
         assert code == 2
         assert "corrupt checkpoint: trailing bytes" in capsys.readouterr().err
+
+    def test_flipped_checkpoint_payload_byte_exit_code(self, workspace, capsys):
+        ckpt = train_run(workspace) / "model.ckpt"
+        data = bytearray(ckpt.read_bytes())
+        data[-100] ^= 0x40
+        ckpt.write_bytes(bytes(data))
+        code = main(["eval", "--checkpoint", str(ckpt),
+                     "--data", str(workspace / "data"),
+                     "--out", str(workspace / "report.txt")])
+        assert code == 2
+        assert "corrupt checkpoint: CRC-32" in capsys.readouterr().err
+        assert not (workspace / "report.txt").exists()
 
     def test_non_finite_flow_in_test_split_exit_code(self, workspace, capsys):
         out = train_run(workspace)

@@ -1,7 +1,10 @@
 import dataclasses
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stgormer.model
 from stgormer.data import Normalizer
@@ -16,6 +19,13 @@ def small_graph(n=6, seed=2, prob=0.35):
     pairs = [(u, v) for u in range(n) for v in range(n)
              if u != v and rng.random() < prob]
     return SpatioTemporalGraph.from_edge_list(n, pairs)
+
+
+def reseal(path, edit):
+    """Edit a checkpoint's contents and write it back under a matching CRC-32
+    trailer, as a writer of the edited contents would."""
+    body = edit(path.read_bytes()[:-4])
+    path.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
 
 
 def small_config(**overrides):
@@ -351,7 +361,7 @@ class TestCheckpoint:
         model = build(cfg, small_graph())
         p = tmp_path / "model.ckpt"
         save_model(model, p)
-        p.write_bytes(p.read_bytes().replace(b"\nalpha=0.5\n", b"\n", 1))
+        reseal(p, lambda body: body.replace(b"\nalpha=0.5\n", b"\n", 1))
         loaded = load_model(p)
         assert loaded.config == dataclasses.replace(cfg, alpha=StgormerConfig().alpha)
         for (_, t1), (_, t2) in zip(model.store.items(), loaded.store.items()):
@@ -365,10 +375,42 @@ class TestCheckpoint:
         model.normalizer = Normalizer(mean=np.array([1.5]), std=np.array([2.5]))
         p = tmp_path / "model.ckpt"
         save_model(model, p)
-        data = p.read_bytes()
-        assert data.count(b"\n" + line) == 1
-        p.write_bytes(data.replace(b"\n" + line, b"\n" + renamed))
+        assert p.read_bytes().count(b"\n" + line) == 1
+        reseal(p, lambda body: body.replace(b"\n" + line, b"\n" + renamed))
         with pytest.raises(ValueError, match="corrupt checkpoint: .*" + line[:-1].decode()):
+            load_model(p)
+
+    def test_flipped_payload_bit_rejected(self, tmp_path):
+        model = build(small_config(), small_graph())
+        p = tmp_path / "model.ckpt"
+        save_model(model, p)
+        data = bytearray(p.read_bytes())
+        data[-100] ^= 0x01
+        p.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="corrupt checkpoint: CRC-32"):
+            load_model(p)
+
+    def test_truncated_trailer_rejected(self, tmp_path):
+        model = build(small_config(), small_graph())
+        p = tmp_path / "model.ckpt"
+        save_model(model, p)
+        p.write_bytes(p.read_bytes()[:-2])
+        with pytest.raises(ValueError, match="corrupt checkpoint: truncated checksum"):
+            load_model(p)
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_flipped_byte_or_truncation_rejected(self, tmp_path_factory, data):
+        p = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        save_model(build(small_config(), small_graph()), p)
+        raw = bytearray(p.read_bytes())
+        if data.draw(st.booleans(), label="truncate"):
+            raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+        else:
+            raw[data.draw(st.integers(0, len(raw) - 1), label="at")] ^= data.draw(
+                st.integers(1, 255), label="mask")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError):
             load_model(p)
 
     def test_truncated_payload_rejected(self, tmp_path):

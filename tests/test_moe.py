@@ -1,9 +1,10 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stgormer.moe import (ExpertParams, RouterParams, expert_forward, gate,
-                          load_balance_loss, moe_forward)
+from stgormer.moe import (ExpertParams, RouterParams, dense_mixture, expert_forward,
+                          gate, load_balance_loss, moe_forward)
 from stgormer.numerics import ParameterStore, Tensor, finite_difference_check
 
 
@@ -109,6 +110,86 @@ class TestMoEForward:
         assert finite_difference_check(fwd, store) < 1e-4
 
 
+def loop_mixture(x, weights, experts):
+    """Per-expert reference: sum_i weights[..., i] * expert_i(x) from engine ops."""
+    out = None
+    for i, expert in enumerate(experts):
+        term = weights[..., i:i + 1] * expert_forward(x, expert)
+        out = term if out is None else out + term
+    return out
+
+
+class TestDenseMixture:
+    @pytest.mark.parametrize("lead,width,hidden,count",
+                             [((5,), 4, 8, 1), ((2, 3), 4, 6, 3), ((2, 3, 2), 5, 7, 4)])
+    def test_matches_per_expert_loop(self, lead, width, hidden, count):
+        rng = np.random.default_rng(62)
+        experts = [make_expert(rng, width, hidden) for _ in range(count)]
+        router = make_router(rng, width, count)
+        for e in experts:
+            for t in (e.w1, e.b1, e.w2, e.b2):
+                t.requires_grad = True
+        x = Tensor(rng.normal(size=lead + (width,)), requires_grad=True)
+        weights = Tensor(gate(x, router).data, requires_grad=True)
+        target = Tensor(rng.normal(size=lead + (width,)))
+        tensors = [x, weights] + [p for e in experts for p in (e.w1, e.b1, e.w2, e.b2)]
+
+        def run(combine):
+            for t in tensors:
+                t.grad = None
+            out = combine(x, weights, experts)
+            ((out - target) ** 2).sum().backward()
+            return out.data, [t.grad for t in tensors]
+
+        fused, fused_grads = run(dense_mixture)
+        loop, loop_grads = run(loop_mixture)
+        assert np.max(np.abs(fused - loop)) <= 1e-12
+        for got, want in zip(fused_grads, loop_grads):
+            assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_gradients_sum_over_clone_experts(self):
+        rng = np.random.default_rng(63)
+        store = ParameterStore()
+        shared = make_expert(rng, 3, 5, store, "shared")
+        other = make_expert(rng, 3, 5, store, "other")
+        experts = [shared, other, shared, ExpertParams(shared.w1, other.b1, shared.w2, other.b2)]
+        router = make_router(rng, 3, 4, store)
+        x = rng.normal(size=(2, 4, 3))
+        target = rng.normal(size=(2, 4, 3))
+
+        def fwd():
+            out, usage = moe_forward(Tensor(x), experts, router)
+            return ((out - Tensor(target)) ** 2).mean() + 0.1 * load_balance_loss(usage)
+
+        assert finite_difference_check(fwd, store) < 1e-4
+
+    def test_gradients_with_frozen_expert_parameters(self):
+        rng = np.random.default_rng(64)
+        store = ParameterStore()
+        experts = [make_expert(rng, 3, 5, store, f"e{i}") for i in range(2)]
+        frozen = [make_expert(rng, 3, 5) for _ in range(2)]
+        experts.append(ExpertParams(frozen[0].w1, experts[0].b1, frozen[0].w2, experts[1].b2))
+        experts.append(ExpertParams(experts[1].w1, frozen[1].b1, experts[0].w2, frozen[1].b2))
+        router = make_router(rng, 3, 4, store)
+        x = rng.normal(size=(5, 3))
+        target = rng.normal(size=(5, 3))
+
+        def fwd():
+            out, _ = moe_forward(Tensor(x), experts, router)
+            return ((out - Tensor(target)) ** 2).mean()
+
+        assert finite_difference_check(fwd, store) < 1e-4
+        for e in frozen:
+            assert all(t.grad is None for t in (e.w1, e.b1, e.w2, e.b2))
+
+    def test_expert_count_must_match_gate(self):
+        rng = np.random.default_rng(65)
+        experts = [make_expert(rng, 4, 6) for _ in range(2)]
+        router = make_router(rng, 4, 3)
+        with pytest.raises(ValueError, match="2 experts"):
+            moe_forward(Tensor(rng.normal(size=(3, 4))), experts, router)
+
+
 class TestLoadBalanceLoss:
     def test_uniform_four_experts(self):
         assert load_balance_loss(Tensor([0.25, 0.25, 0.25, 0.25])).item() == 0.0625
@@ -164,6 +245,13 @@ class TestGateUsage:
         usage = self.usage_of(x, router)
         weights = gate(Tensor(x), router).data.reshape(10, 3)
         assert np.max(np.abs(usage - weights.mean(axis=0))) < 1e-15
+
+    def test_usage_is_the_gate_mean(self):
+        rng = np.random.default_rng(66)
+        router = make_router(rng, 4, 3)
+        x = rng.normal(size=(2, 5, 4))
+        expected = gate(Tensor(x), router).reshape(-1, 3).mean(axis=0).data
+        assert self.usage_of(x, router).tobytes() == expected.tobytes()
 
     def test_fractions_sum_to_one(self):
         rng = np.random.default_rng(59)

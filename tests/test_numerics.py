@@ -145,6 +145,21 @@ class TestBackward:
         backward((p * p + p * 3.0).sum(), store)
         assert p.grad.tolist() == [2 * 2.0 + 3.0]
 
+    @pytest.mark.parametrize("sum_first", [True, False])
+    def test_shared_gradient_buffer_is_not_written_in_place(self, sum_first):
+        # a + b hands its own gradient buffer to both a and b; the second
+        # contribution each then gets must land in neither that buffer nor
+        # the sibling's gradient, whichever contribution arrives first
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
+        s = a + b
+        via_sum = (s * np.array([1.0, 10.0])).sum()
+        direct = (a * 100.0).sum() + (b * 1000.0).sum()
+        (via_sum + direct if sum_first else direct + via_sum).backward()
+        assert s.grad.tolist() == [1.0, 10.0]
+        assert a.grad.tolist() == [101.0, 110.0]
+        assert b.grad.tolist() == [1001.0, 1010.0]
+
 
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
