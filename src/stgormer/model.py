@@ -9,7 +9,9 @@ parameter path initialize it identically.
 from __future__ import annotations
 
 import dataclasses
+import io
 import zlib
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +26,7 @@ from .numerics import (ParameterStore, Tensor, layer_norm, linear,
                        read_param_block, write_param_block)
 
 _MODEL_MAGIC = "stgormer-model-checkpoint 2"
+_CRC_READ = 1 << 20  # bytes per read of the checksum pass
 
 
 @dataclass
@@ -119,34 +122,61 @@ def _path_rng(seed: int, path: str) -> np.random.Generator:
 
 
 class _Init:
-    def __init__(self, store: ParameterStore, seed: int):
+    """Creates each parameter: drawn from its path's RNG stream or, when
+    ``values`` (a checkpoint's arrays by path) is given, taken from there.
+
+    Paths that ``values`` lacks, or holds in another shape, are collected in
+    ``missing`` and filled with zeros.
+    """
+
+    def __init__(self, store: ParameterStore, seed: int,
+                 values: dict[str, np.ndarray] | None = None):
         self.store = store
         self.seed = seed
+        self.values = values
+        self.missing: list[str] = []
+
+    def _add(self, path: str, shape: tuple[int, ...],
+             draw: Callable[[], np.ndarray]) -> Tensor:
+        if self.values is None:
+            return self.store.add(path, draw())
+        value = self.values.get(path)
+        if value is None or value.shape != shape:
+            self.missing.append(path if value is None
+                                else f"{path} (shape {value.shape}, expected {shape})")
+            value = np.zeros(shape)
+        return self.store.add(path, value)
 
     def weight(self, path: str, fan_in: int, fan_out: int) -> Tensor:
         bound = 1.0 / np.sqrt(fan_in)
-        rng = _path_rng(self.seed, path)
-        return self.store.add(path, rng.uniform(-bound, bound, size=(fan_in, fan_out)))
+        shape = (fan_in, fan_out)
+        return self._add(path, shape, lambda: _path_rng(self.seed, path).uniform(
+            -bound, bound, size=shape))
 
     def vector_weight(self, path: str, dim: int) -> Tensor:
-        rng = _path_rng(self.seed, path)
-        return self.store.add(path, rng.uniform(-1.0, 1.0, size=dim))
+        return self._add(path, (dim,), lambda: _path_rng(self.seed, path).uniform(
+            -1.0, 1.0, size=dim))
 
     def zeros(self, path: str, *shape: int) -> Tensor:
-        return self.store.add(path, np.zeros(shape))
+        return self._add(path, shape, lambda: np.zeros(shape))
 
     def ones(self, path: str, *shape: int) -> Tensor:
-        return self.store.add(path, np.ones(shape))
+        return self._add(path, shape, lambda: np.ones(shape))
 
     def table(self, path: str, *shape: int) -> Tensor:
-        rng = _path_rng(self.seed, path)
-        return self.store.add(path, rng.normal(0.0, 0.02, size=shape))
+        return self._add(path, shape, lambda: _path_rng(self.seed, path).normal(
+            0.0, 0.02, size=shape))
 
 
 class StgormerModel:
-    """Built model: parameter store, precomputed graph signals, block views."""
+    """Built model: parameter store, precomputed graph signals, block views.
 
-    def __init__(self, config: StgormerConfig, graph: SpatioTemporalGraph):
+    Parameters are drawn from per-path seeds, or adopted from ``values`` (a
+    checkpoint's arrays by path), which must hold exactly the config's paths.
+    """
+
+    def __init__(self, config: StgormerConfig, graph: SpatioTemporalGraph,
+                 values: dict[str, np.ndarray] | None = None):
         errors = config.validate()
         if errors:
             raise ValueError("invalid model config: " + "; ".join(errors))
@@ -155,7 +185,7 @@ class StgormerModel:
         self.spd: SpdMatrix = shortest_path_matrix(graph)
         self.normalizer = None
         self.store = ParameterStore()
-        init = _Init(self.store, config.seed)
+        init = _Init(self.store, config.seed, values)
         d = config.hidden_dim
 
         self.time_params = [
@@ -212,6 +242,11 @@ class StgormerModel:
         head_out = config.horizon * config.channels
         self.head_w = init.weight("head.w", head_in, head_out)
         self.head_b = init.zeros("head.b", head_out)
+        if values is not None:
+            unexpected = sorted(set(values) - set(self.store.paths()))
+            if init.missing or unexpected:
+                raise ValueError("checkpoint incompatible with its config: "
+                                 f"missing={sorted(init.missing)} unexpected={unexpected}")
 
     def parameter_count(self) -> int:
         return self.store.num_values()
@@ -308,34 +343,16 @@ def loss(pred: Tensor, target: np.ndarray, usage: list[Tensor],
 # -- checkpointing -------------------------------------------------------------
 
 
-class _Crc32File:
-    """A binary file plus the running CRC-32 of every byte read or written.
-
-    ``unread`` hands a line back to the next ``readline`` without counting
-    it twice.
-    """
+class _Crc32Writer:
+    """A binary file plus the running CRC-32 of every byte written."""
 
     def __init__(self, fh):
         self.fh = fh
         self.crc = 0
-        self._unread = b""
-
-    def _count(self, data: bytes) -> bytes:
-        self.crc = zlib.crc32(data, self.crc)
-        return data
 
     def write(self, data: bytes) -> None:
-        self.fh.write(self._count(data))
-
-    def read(self, size: int) -> bytes:
-        return self._count(self.fh.read(size))
-
-    def readline(self) -> bytes:
-        line, self._unread = self._unread, b""
-        return line or self._count(self.fh.readline())
-
-    def unread(self, line: bytes) -> None:
-        self._unread = line
+        self.crc = zlib.crc32(data, self.crc)
+        self.fh.write(data)
 
 
 def _write_section(fh, tag: str, items: dict[str, str]) -> None:
@@ -353,7 +370,7 @@ def save_model(model: StgormerModel, path) -> None:
         normalizer["mean"] = kv.encode(tuple(norm.mean))
         normalizer["std"] = kv.encode(tuple(norm.std))
     with open(path, "wb") as raw:
-        fh = _Crc32File(raw)
+        fh = _Crc32Writer(raw)
         fh.write(_MODEL_MAGIC.encode() + b"\n")
         _write_section(fh, "config", config)
         _write_section(fh, "graph", {
@@ -365,6 +382,21 @@ def save_model(model: StgormerModel, path) -> None:
         raw.write(fh.crc.to_bytes(4, "little"))
 
 
+def _crc_fault(fh, size: int) -> str | None:
+    """Stream every byte before the 4-byte trailer through CRC-32, in reads of
+    ``_CRC_READ`` bytes; None when the trailer matches, else the mismatch."""
+    fh.seek(0)
+    crc, left = 0, size - 4
+    while left > 0:
+        chunk = fh.read(min(_CRC_READ, left))
+        crc = zlib.crc32(chunk, crc)
+        left -= len(chunk)
+    stored = int.from_bytes(fh.read(4), "little")
+    if stored == crc:
+        return None
+    return f"CRC-32 {crc:08x} of the contents does not match the stored {stored:08x}"
+
+
 def _read_section(fh, tag: str) -> dict[str, str]:
     """The ``[tag]`` section's key=value lines, up to the next ``[...]`` line."""
     line = fh.readline().decode().rstrip("\n")
@@ -372,10 +404,10 @@ def _read_section(fh, tag: str) -> dict[str, str]:
         raise ValueError(f"corrupt checkpoint: expected [{tag}], got {line!r}")
     items: dict[str, str] = {}
     while True:
-        raw = fh.readline()
-        line = raw.decode().rstrip("\n")
+        start = fh.tell()
+        line = fh.readline().decode().rstrip("\n")
         if not line or line.startswith("["):
-            fh.unread(raw)
+            fh.seek(start)
             return items
         key, eq, value = line.partition("=")
         if not eq or key in items:
@@ -386,27 +418,38 @@ def _read_section(fh, tag: str) -> dict[str, str]:
 def load_model(path) -> StgormerModel:
     """Rebuild a model from its checkpoint, verifying config/parameter agreement.
 
-    Config fields missing from the checkpoint take their defaults. The
-    CRC-32 trailer must match every byte before it.
+    Config fields missing from the checkpoint take their defaults. The magic
+    line is checked first, then the CRC-32 trailer against every byte before
+    it, and only then is the body parsed. A damaged file is reported as
+    ``corrupt checkpoint: …`` whatever byte was hit.
     """
     from .data import Normalizer
 
-    with open(path, "rb") as raw:
-        fh = _Crc32File(raw)
-        magic = fh.readline().decode().rstrip("\n")
-        if magic != _MODEL_MAGIC:
-            raise ValueError(f"not a model checkpoint: bad magic {magic!r}")
-        sections = {tag: _read_section(fh, tag) for tag in ("config", "graph", "normalizer")}
-        values = read_param_block(fh)
-        trailer = raw.read(4)
-        if len(trailer) != 4:
-            raise ValueError("corrupt checkpoint: truncated checksum trailer")
-        if raw.read(1):
-            raise ValueError("corrupt checkpoint: trailing bytes after the checksum trailer")
-        stored = int.from_bytes(trailer, "little")
-        if stored != fh.crc:
-            raise ValueError(f"corrupt checkpoint: CRC-32 {fh.crc:08x} of the contents "
-                             f"does not match the stored {stored:08x}")
+    with open(path, "rb") as fh:
+        head = fh.readline(len(_MODEL_MAGIC) + 1)
+        if head != _MODEL_MAGIC.encode() + b"\n":
+            raise ValueError(f"not a model checkpoint: bad magic {head!r}")
+        size = fh.seek(0, io.SEEK_END)
+        fault = _crc_fault(fh, size)
+        # after a mismatch the body is still parsed, but only to tell a cut
+        # or extended file from a damaged one: its parse errors are not shown
+        fh.seek(len(head))
+        try:
+            sections = {tag: _read_section(fh, tag) for tag in ("config", "graph", "normalizer")}
+            values = read_param_block(fh)
+        except ValueError:
+            if fault is None:
+                raise
+            if fh.tell() >= size:
+                fault = "truncated contents"
+            raise ValueError(f"corrupt checkpoint: {fault}") from None
+        end = fh.tell() + 4
+        if end > size:
+            fault = "truncated checksum trailer"
+        elif end < size:
+            fault = "trailing bytes after the checksum trailer"
+        if fault is not None:
+            raise ValueError(f"corrupt checkpoint: {fault}")
 
     def required(tag: str, key: str) -> str:
         if key not in sections[tag]:
@@ -433,15 +476,6 @@ def load_model(path) -> StgormerModel:
                      for key in ("mean", "std"))
         normalizer = Normalizer(mean=mean, std=std)
 
-    model = StgormerModel(config, graph)
-    expected = {p: t.data.shape for p, t in model.store.items()}
-    actual = {p: a.shape for p, a in values.items()}
-    if expected != actual:
-        missing = sorted(set(expected) - set(actual))
-        extra = sorted(set(actual) - set(expected))
-        raise ValueError(
-            "checkpoint incompatible with its config: "
-            f"missing={missing} unexpected={extra}")
-    model.store.restore(values)
+    model = StgormerModel(config, graph, values)
     model.normalizer = normalizer
     return model

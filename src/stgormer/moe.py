@@ -2,8 +2,9 @@
 
 Routing is dense: every expert runs on every token and outputs are combined
 with the gate's softmax weights, so the balance loss stays differentiable.
-The experts run as one stacked primitive (:func:`dense_mixture`); their
-parameters stay separate tensors and are stacked on every call.
+The experts run as one stacked primitive (:func:`dense_mixture`) over row
+blocks of tokens; their parameters stay separate tensors and are stacked on
+every call.
 """
 from __future__ import annotations
 
@@ -12,6 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import Tensor, linear, softmax
+
+# Tokens per row block of dense_mixture. At the default width (6 experts of
+# 256) a 128-token block's hidden layer is 1.5 MiB, within a 2 MiB per-core
+# L2 cache; on a 2-core host, 128 beat 64 and 256 on a default training step.
+_CHUNK = 128
 
 
 @dataclass
@@ -41,16 +47,21 @@ def gate(x: Tensor, router: RouterParams) -> Tensor:
     return softmax(linear(x, router.w, router.b), axis=-1)
 
 
+def _with_ones(a: np.ndarray) -> np.ndarray:
+    """``a`` with a column of ones appended, which multiplies a bias row."""
+    return np.concatenate([a, np.ones((len(a), 1))], axis=1)
+
+
 def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Tensor:
     """sum_e weights[..., e] * expert_e(x) as one graph node.
 
-    The E experts' parameters are stacked into W1 (D, E*H), b1 (E*H),
-    W2 (E*H, D) and B2 (E, D). Forward: relu(x W1 + b1), each H-wide slice
-    scaled by the token's gate weight, times W2, plus weights @ B2. Backward
-    is closed form: one large GEMM each for the hidden layer, W2, W1 and the
-    input, and the gate gradient from the hidden layer's. The stacked
-    parameter gradients are sliced back to each expert. Only the relu output
-    is kept for backward; its scaled copy is rebuilt there.
+    The E experts' parameters are stacked into W1 (D+1, E*H), whose last row
+    is b1, W2 (E*H, D) and B2 (E, D). Forward: relu([x 1] W1), each H-wide
+    slice scaled by the token's gate weight, times W2, plus weights @ B2.
+    Tokens run in row blocks of ``_CHUNK`` so that a block's hidden layer
+    stays in cache. The hidden layer is not kept: the closed-form backward
+    recomputes it block by block, sums the stacked parameter gradients over
+    the blocks and slices them back to each expert.
     """
     n_exp = len(experts)
     if weights.shape != x.shape[:-1] + (n_exp,):
@@ -59,32 +70,58 @@ def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Te
     width, hid = experts[0].w1.shape
     x2 = x.data.reshape(-1, width)
     gw = weights.data.reshape(-1, n_exp)
-    gw3 = gw[:, :, None]
-    w1 = np.concatenate([e.w1.data for e in experts], axis=1)
+    w1 = np.concatenate([np.vstack([e.w1.data, e.b1.data]) for e in experts], axis=1)
     w2 = np.concatenate([e.w2.data for e in experts], axis=0)
     b2 = np.stack([e.b2.data for e in experts])
-    hidden = x2 @ w1
-    hidden += np.concatenate([e.b1.data for e in experts])
-    np.maximum(hidden, 0.0, out=hidden)
-    hidden3 = hidden.reshape(-1, n_exp, hid)
-    out = (hidden3 * gw3).reshape(hidden.shape) @ w2
+    blocks = [slice(start, start + _CHUNK) for start in range(0, len(x2), _CHUNK)]
+    block_shape = (min(_CHUNK, len(x2)), n_exp * hid)
+
+    def hidden(block: np.ndarray, buf: np.ndarray) -> np.ndarray:
+        """relu([x 1] W1) for one block of rows of [x 1], written into ``buf``."""
+        h = np.matmul(block, w1, out=buf[:len(block)])
+        return np.maximum(h, 0.0, out=h)
+
+    def scale(a: np.ndarray, rows: slice) -> None:
+        """Multiply each expert's H-wide slice of a block by its gate weight."""
+        a3 = a.reshape(len(a), n_exp, hid)
+        a3 *= gw[rows, :, None]
+
+    x1 = _with_ones(x2)
+    out = np.empty_like(x2)
+    buf = np.empty(block_shape)
+    for rows in blocks:
+        h = hidden(x1[rows], buf)
+        scale(h, rows)
+        np.matmul(h, w2, out=out[rows])
     out += gw @ b2
 
     def back(g: np.ndarray) -> None:
         g2 = g.reshape(-1, width)
-        d_scaled = (g2 @ w2.T).reshape(hidden3.shape)
-        if weights.requires_grad:
-            d_gw = np.einsum("teh,teh->te", d_scaled, hidden3) + g2 @ b2.T
+        x1 = _with_ones(x2)
+        d_gw = np.empty_like(gw) if weights.requires_grad else None
+        dx = np.empty_like(x2) if x.requires_grad else None
+        dw1, dw2 = np.zeros_like(w1), np.zeros_like(w2)
+        h_buf, d_buf = np.empty(block_shape), np.empty(block_shape)
+        for rows in blocks:
+            h = hidden(x1[rows], h_buf)
+            d = np.matmul(g2[rows], w2.T, out=d_buf[:len(h)])
+            if d_gw is not None:
+                d_gw[rows] = np.einsum("teh,teh->te", d.reshape(len(d), n_exp, hid),
+                                       h.reshape(len(h), n_exp, hid))
+            d *= h > 0
+            scale(d, rows)
+            scale(h, rows)
+            dw2 += h.T @ g2[rows]
+            if dx is not None:
+                np.matmul(d, w1[:width].T, out=dx[rows])
+            dw1 += x1[rows].T @ d
+        if d_gw is not None:
+            d_gw += g2 @ b2.T
             weights._accumulate(d_gw.reshape(weights.shape), fresh=True)
-        dw2 = (hidden3 * gw3).reshape(hidden.shape).T @ g2
+        if dx is not None:
+            x._accumulate(dx.reshape(x.shape), fresh=True)
+        dw1, db1 = dw1[:width], dw1[width]
         db2 = gw.T @ g2
-        d_scaled *= gw3
-        d_scaled *= hidden3 > 0
-        d_pre = d_scaled.reshape(hidden.shape)
-        if x.requires_grad:
-            x._accumulate((d_pre @ w1.T).reshape(x.shape), fresh=True)
-        dw1 = x2.T @ d_pre
-        db1 = d_pre.sum(axis=0)
         for e, expert in enumerate(experts):
             cols = slice(e * hid, (e + 1) * hid)
             for param, part in ((expert.w1, dw1[:, cols]), (expert.b1, db1[cols]),

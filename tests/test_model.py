@@ -413,6 +413,59 @@ class TestCheckpoint:
         with pytest.raises(ValueError):
             load_model(p)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_flipped_byte_names_the_checkpoint_fault(self, tmp_path_factory, data):
+        p = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+        save_model(build(small_config(), small_graph()), p)
+        raw = bytearray(p.read_bytes())
+        raw[data.draw(st.integers(0, len(raw) - 1), label="at")] ^= data.draw(
+            st.integers(1, 255), label="mask")
+        p.write_bytes(bytes(raw))
+        with pytest.raises(ValueError) as info:
+            load_model(p)
+        assert str(info.value).startswith(("corrupt checkpoint:", "not a model checkpoint:"))
+
+    def test_loaded_parameters_equal_saved_bitwise(self, tmp_path):
+        model = build(small_config(), small_graph())
+        rng = np.random.default_rng(11)
+        for _, t in model.store.items():
+            t.data += rng.normal(scale=0.1, size=t.data.shape)
+        p = tmp_path / "model.ckpt"
+        save_model(model, p)
+        loaded = load_model(p)
+        assert loaded.store.paths() == model.store.paths()
+        for (_, saved), (_, got) in zip(model.store.items(), loaded.store.items()):
+            assert got.data.tobytes() == saved.data.tobytes()
+
+    def test_load_draws_no_parameters(self, tmp_path, monkeypatch):
+        p = tmp_path / "model.ckpt"
+        save_model(build(small_config(), small_graph()), p)
+
+        def no_draw(seed, path):
+            raise AssertionError(f"load_model drew {path!r}")
+
+        monkeypatch.setattr(stgormer.model, "_path_rng", no_draw)
+        load_model(p)
+
+    def test_paths_not_matching_the_config_rejected(self, tmp_path):
+        p = tmp_path / "model.ckpt"
+        save_model(build(small_config(block_order="ST"), small_graph()), p)
+        reseal(p, lambda body: body.replace(b"\nblock_order=ST\n", b"\nblock_order=TS\n"))
+        with pytest.raises(ValueError, match=r"checkpoint incompatible with its config: "
+                           r"missing=\['blocks\.00\.temporal.*"
+                           r"unexpected=\['blocks\.00\.spatial"):
+            load_model(p)
+
+    def test_parameter_shapes_not_matching_the_config_rejected(self, tmp_path):
+        p = tmp_path / "model.ckpt"
+        save_model(build(small_config(expert_expansion=2), small_graph()), p)
+        reseal(p, lambda body: body.replace(b"\nexpert_expansion=2\n",
+                                            b"\nexpert_expansion=3\n"))
+        with pytest.raises(ValueError, match=r"missing=\['blocks\.00\.spatial\.ffn\.expert0"
+                           r"\.b1 \(shape \(16,\), expected \(24,\)\)'.* unexpected=\[\]"):
+            load_model(p)
+
     def test_truncated_payload_rejected(self, tmp_path):
         model = build(small_config(), small_graph())
         p = tmp_path / "model.ckpt"

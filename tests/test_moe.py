@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stgormer.moe import (ExpertParams, RouterParams, dense_mixture, expert_forward,
-                          gate, load_balance_loss, moe_forward)
+from stgormer.moe import (_CHUNK, ExpertParams, RouterParams, dense_mixture,
+                          expert_forward, gate, load_balance_loss, moe_forward)
 from stgormer.numerics import ParameterStore, Tensor, finite_difference_check
 
 
@@ -121,7 +123,8 @@ def loop_mixture(x, weights, experts):
 
 class TestDenseMixture:
     @pytest.mark.parametrize("lead,width,hidden,count",
-                             [((5,), 4, 8, 1), ((2, 3), 4, 6, 3), ((2, 3, 2), 5, 7, 4)])
+                             [((5,), 4, 8, 1), ((2, 3), 4, 6, 3), ((2, 3, 2), 5, 7, 4),
+                              ((3, 100), 5, 7, 3)])
     def test_matches_per_expert_loop(self, lead, width, hidden, count):
         rng = np.random.default_rng(62)
         experts = [make_expert(rng, width, hidden) for _ in range(count)]
@@ -146,6 +149,40 @@ class TestDenseMixture:
         assert np.max(np.abs(fused - loop)) <= 1e-12
         for got, want in zip(fused_grads, loop_grads):
             assert np.max(np.abs(got - want)) <= 1e-12
+
+    def test_gradients_across_token_blocks(self):
+        rng = np.random.default_rng(67)
+        store = ParameterStore()
+        tokens = 2 * _CHUNK + 9
+        experts = [make_expert(rng, 3, 5, store, f"e{i}") for i in range(3)]
+        router = make_router(rng, 3, 3, store)
+        x = store.add("x", rng.normal(size=(tokens, 3)))
+        target = rng.normal(size=(tokens, 3))
+
+        def fwd():
+            out, usage = moe_forward(x, experts, router)
+            return ((out - Tensor(target)) ** 2).mean() + 0.1 * load_balance_loss(usage)
+
+        assert finite_difference_check(fwd, store, max_coords=300) < 1e-4
+
+    def test_forward_keeps_no_hidden_layer(self):
+        rng = np.random.default_rng(68)
+        tokens, count, width, hidden = 4608, 6, 64, 256
+        experts = [make_expert(rng, width, hidden) for _ in range(count)]
+        for e in experts:
+            for t in (e.w1, e.b1, e.w2, e.b2):
+                t.requires_grad = True
+        x = Tensor(rng.normal(size=(tokens, width)), requires_grad=True)
+        weights = Tensor(rng.dirichlet(np.ones(count), size=tokens), requires_grad=True)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = dense_mixture(x, weights, experts)
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert kept < tokens * count * hidden * 8 / 4
 
     def test_gradients_sum_over_clone_experts(self):
         rng = np.random.default_rng(63)
