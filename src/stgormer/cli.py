@@ -20,7 +20,8 @@ from .attention import spd_bias
 from .data import (FlowDataset, SyntheticSpec, load_flows, load_timestamps,
                    save_flows, save_timestamps, split, synthesize,
                    write_flow_tensor)
-from .graph import degrees, load_graph, save_graph, shortest_path_matrix
+from .graph import (SpatioTemporalGraph, degrees, load_graph, save_graph,
+                    shortest_path_matrix)
 from .model import StgormerConfig, build, load_model
 from .train import (STUDY_COLUMNS, DivergenceError, TrainConfig, evaluate,
                     study, train_loop)
@@ -174,13 +175,29 @@ def _split_by_name(ds: FlowDataset, name: str) -> FlowDataset:
     return {"train": train_ds, "val": val_ds, "test": test_ds}[name]
 
 
+def graph_mismatch(trained: SpatioTemporalGraph, data: SpatioTemporalGraph) -> str | None:
+    """The first way the data's graph differs from the checkpoint's, or None:
+    node count, then directedness, then the first arc in sorted order that
+    only one of them has."""
+    if data.num_nodes != trained.num_nodes:
+        return f"checkpoint graph has {trained.num_nodes} nodes, data has {data.num_nodes}"
+    kinds = {True: "directed", False: "undirected"}
+    if data.directed != trained.directed:
+        return (f"checkpoint graph is {kinds[trained.directed]}, "
+                f"data graph is {kinds[data.directed]}")
+    diff = sorted(set(trained.edges) ^ set(data.edges))
+    if not diff:
+        return None
+    side = "checkpoint" if diff[0] in trained.edges else "data"
+    return f"edge {diff[0][0]} {diff[0][1]} is only in the {side} graph"
+
+
 def cmd_eval(args) -> int:
     model = load_model(args.checkpoint)
     ds = load_data_dir(args.data)
-    if ds.num_nodes != model.graph.num_nodes:
-        raise ValueError(
-            f"node count mismatch: checkpoint graph has {model.graph.num_nodes} "
-            f"nodes, data has {ds.num_nodes}")
+    mismatch = graph_mismatch(model.graph, ds.graph)
+    if mismatch:
+        raise ValueError(f"graph mismatch: {mismatch}")
     piece = _split_by_name(ds, args.split)
     report = evaluate(model, piece, args.threshold)
     out = Path(args.out) if args.out else Path(f"eval_{args.split}.txt")
@@ -224,7 +241,8 @@ def cmd_encode(args) -> int:
             writer.writerow([int(v) for v in row])
     if args.checkpoint:
         model = load_model(args.checkpoint)
-        bias = spd_bias(spd, model.spd_table, model.config.max_spd)
+        with model.store.frozen():
+            bias = spd_bias(spd, model.spd_table, model.config.max_spd)
         with open(out / "sa_bias.csv", "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)

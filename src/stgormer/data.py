@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .graph import SpatioTemporalGraph
+from .kv import read_lines
 
 
 class FlowFormatError(ValueError):
@@ -286,8 +287,7 @@ def load_flows(path, graph: SpatioTemporalGraph,
 
     Every cell must be a finite decimal; errors name the file's line number.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    lines = read_lines(path, FlowFormatError)
     if not lines:
         raise FlowFormatError("line 1: missing header 'T N C'")
     header = lines[0].split()
@@ -300,11 +300,21 @@ def load_flows(path, graph: SpatioTemporalGraph,
     if n != graph.num_nodes:
         raise FlowFormatError(
             f"header says {n} nodes but graph has {graph.num_nodes}")
+    if timestamps.shape[0] != t:
+        raise FlowFormatError(
+            f"timestamps carry {timestamps.shape[0]} steps but flows carry {t}")
     data_lines = [(lineno, ln) for lineno, ln in enumerate(lines[1:], start=2)
                   if ln.strip()]
     if len(data_lines) != t * n:
         raise FlowFormatError(
             f"expected {t * n} data lines (T*N) but found {len(data_lines)}")
+    # the header's C sizes the array, so the first data line must bear it out
+    if c < 1:
+        raise FlowFormatError(f"line 1: channel count {c} is not positive")
+    width = data_lines[0][1].count(",") + 1 if data_lines else c
+    if c != width:
+        raise FlowFormatError(
+            f"line 1: header says {c} channels but the first data line has {width}")
     values = np.empty((t * n, c), dtype=np.float64)
     for i, (lineno, raw) in enumerate(data_lines):
         cells = raw.strip().split(",")
@@ -320,11 +330,7 @@ def load_flows(path, graph: SpatioTemporalGraph,
     if not finite.all():
         lineno, raw = data_lines[int(np.argmin(finite))]
         raise FlowFormatError(f"line {lineno}: non-finite cell in {raw.strip()!r}")
-    flows = values.reshape(t, n, c)
-    if timestamps.shape[0] != t:
-        raise FlowFormatError(
-            f"timestamps carry {timestamps.shape[0]} steps but flows carry {t}")
-    return FlowDataset(flows, timestamps, graph)
+    return FlowDataset(values.reshape(t, n, c), timestamps, graph)
 
 
 def save_timestamps(path, timestamps: np.ndarray) -> None:
@@ -336,24 +342,23 @@ def save_timestamps(path, timestamps: np.ndarray) -> None:
 def load_timestamps(path) -> np.ndarray:
     """One line per step of comma-separated decimals in [0, 1)."""
     rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                row = [float(cell) for cell in line.split(",")]
-            except ValueError:
+    for lineno, raw in enumerate(read_lines(path, FlowFormatError), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            row = [float(cell) for cell in line.split(",")]
+        except ValueError:
+            raise FlowFormatError(
+                f"line {lineno}: non-numeric timestamp in {line!r}") from None
+        for v in row:
+            if not (0.0 <= v < 1.0):
                 raise FlowFormatError(
-                    f"line {lineno}: non-numeric timestamp in {line!r}") from None
-            for v in row:
-                if not (0.0 <= v < 1.0):
-                    raise FlowFormatError(
-                        f"line {lineno}: timestamp feature {v} outside [0, 1)")
-            if rows and len(row) != len(rows[0]):
-                raise FlowFormatError(
-                    f"line {lineno}: inconsistent feature count")
-            rows.append(row)
+                    f"line {lineno}: timestamp feature {v} outside [0, 1)")
+        if rows and len(row) != len(rows[0]):
+            raise FlowFormatError(
+                f"line {lineno}: inconsistent feature count")
+        rows.append(row)
     if not rows:
         raise FlowFormatError("timestamps file is empty")
     return np.asarray(rows, dtype=np.float64)

@@ -11,6 +11,8 @@ from typing import ClassVar, Iterable, Sequence
 
 import numpy as np
 
+from .kv import read_lines
+
 UNREACHABLE = -1
 
 
@@ -175,9 +177,7 @@ def save_graph(g: SpatioTemporalGraph, path) -> None:
 
 def load_graph(path) -> SpatioTemporalGraph:
     """Parse an edge-list file, reporting the offending line on malformed input."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-
+    lines = read_lines(path, GraphFormatError)
     header_idx = None
     num_nodes = 0
     directed = True

@@ -10,21 +10,29 @@ import dataclasses
 import math
 
 
+def read_lines(path, error: type[ValueError] = ValueError) -> list[str]:
+    """A text file's lines; a file that is not UTF-8 raises ``error``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError:
+        raise error(f"{path}: not UTF-8 text") from None
+
+
 def read_file(path) -> dict[str, str]:
     """Flat key=value document; '#' comments and blank lines ignored."""
     items: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}: line {lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key in items:
-                raise ValueError(f"{path}: line {lineno}: duplicate key {key!r}")
-            items[key] = value.strip()
+    for lineno, raw in enumerate(read_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}: line {lineno}: expected key=value, got {line!r}")
+        key, _, value = line.partition("=")
+        key = key.strip()
+        if key in items:
+            raise ValueError(f"{path}: line {lineno}: duplicate key {key!r}")
+        items[key] = value.strip()
     return items
 
 

@@ -171,8 +171,8 @@ class _Init:
 class StgormerModel:
     """Built model: parameter store, precomputed graph signals, block views.
 
-    Parameters are drawn from per-path seeds, or adopted from ``values`` (a
-    checkpoint's arrays by path), which must hold exactly the config's paths.
+    Parameters are drawn from per-path seeds, or copied once from ``values``
+    (a checkpoint's arrays by path), which must hold exactly the config's paths.
     """
 
     def __init__(self, config: StgormerConfig, graph: SpatioTemporalGraph,
@@ -307,11 +307,12 @@ class StgormerModel:
         return pred.reshape(pred.shape[1:])
 
     def predict(self, window: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
-        """Forecast on the original scale."""
+        """Forecast on the original scale, on the frozen store (no graph)."""
         if self.normalizer is None:
             raise ValueError("model has no normalizer attached; train or load first")
-        pred = self.forward(self.normalizer.apply(np.asarray(window, dtype=np.float64)),
-                            timestamps)
+        with self.store.frozen():
+            pred = self.forward(self.normalizer.apply(np.asarray(window, dtype=np.float64)),
+                                timestamps)
         return self.normalizer.invert(pred.data)
 
 

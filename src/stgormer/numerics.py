@@ -9,6 +9,7 @@ store's values in and out of a model checkpoint.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -62,7 +63,7 @@ class Tensor:
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        # a gradient buffer assigned from outside (the store's zeros) is owned
+        # a gradient buffer assigned from outside (zero_grad's) is owned
         self._owns_grad = True
         self._prev: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
@@ -128,10 +129,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def ndim(self) -> int:
-        return self.data.ndim
-
     def item(self) -> float:
         return float(self.data.reshape(()))
 
@@ -154,8 +151,6 @@ class Tensor:
 
         return Tensor._result(data, (self, other), back)
 
-    __radd__ = __add__
-
     def __mul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data * other.data
@@ -172,9 +167,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Tensor":
-        return self * -1.0
-
     def __sub__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         data = self.data - other.data
@@ -187,32 +179,6 @@ class Tensor:
                 other._accumulate(_unbroadcast(-g, other.data.shape), fresh=True)
 
         return Tensor._result(data, (self, other), back)
-
-    def __truediv__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        data = self.data / other.data
-
-        def back(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g / other.data, self.data.shape),
-                                 fresh=True)
-            if other.requires_grad:
-                other._accumulate(
-                    _unbroadcast(-g * self.data / (other.data * other.data),
-                                 other.data.shape), fresh=True)
-
-        return Tensor._result(data, (self, other), back)
-
-    def __pow__(self, exponent: float) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        data = self.data ** exponent
-
-        def back(g: np.ndarray) -> None:
-            self._accumulate(g * exponent * self.data ** (exponent - 1),
-                             fresh=True)
-
-        return Tensor._result(data, (self,), back)
 
     def __matmul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
@@ -456,28 +422,38 @@ class ParameterStore:
 
     Paths are dotted strings; iteration is always in sorted path order so
     every consumer (optimizer, checkpointing, gradient checks) sees a stable
-    layout across runs.
+    layout across runs.  Gradient buffers are created by :meth:`zero_grad`,
+    so a store that only runs forward passes never holds any.
     """
 
     def __init__(self) -> None:
         self._params: dict[str, Tensor] = {}
 
     def add(self, path: str, value: np.ndarray) -> Tensor:
+        """Register a float64 copy of ``value`` under ``path``."""
         if path in self._params:
             raise ValueError(f"parameter path {path!r} already registered")
         t = Tensor(np.array(value, dtype=np.float64), requires_grad=True)
-        t.grad = np.zeros_like(t.data)
         self._params[path] = t
         return t
 
+    @contextmanager
+    def frozen(self):
+        """Inference mode: inside the block no parameter requires a gradient,
+        so forward passes record no graph and free each intermediate as soon
+        as it is dropped.  On exit, even by an exception, every parameter
+        gets its own previous flag back."""
+        flags = [(t, t.requires_grad) for t in self._params.values()]
+        for t, _ in flags:
+            t.requires_grad = False
+        try:
+            yield self
+        finally:
+            for t, flag in flags:
+                t.requires_grad = flag
+
     def __getitem__(self, path: str) -> Tensor:
         return self._params[path]
-
-    def __contains__(self, path: str) -> bool:
-        return path in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
 
     def paths(self) -> list[str]:
         return sorted(self._params)
@@ -514,6 +490,10 @@ def backward(loss: Tensor, store: ParameterStore) -> None:
     """Populate every gradient slot in ``store`` with d(loss)/d(parameter)."""
     if loss.data.size != 1:
         raise ValueError("loss must be scalar")
+    if not any(t.requires_grad for t in store._params.values()):
+        raise ValueError("backward on a frozen parameter store")
+    if not loss.requires_grad:
+        raise ValueError("loss has no autodiff graph (frozen or constant inputs only)")
     store.zero_grad()
     loss.backward()
 
@@ -659,5 +639,6 @@ def read_param_block(fh) -> dict[str, np.ndarray]:
         raw = fh.read(count * 8)
         if len(raw) != count * 8:
             raise ValueError(f"truncated checkpoint payload at parameter {path!r}")
-        values[path] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(dims)
+        # a read-only view of the bytes just read; ParameterStore.add copies it once
+        values[path] = np.frombuffer(raw, dtype="<f8").reshape(dims)
     return values

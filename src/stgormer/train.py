@@ -86,9 +86,9 @@ def _normalized_dataset(ds: FlowDataset, normalizer) -> FlowDataset:
     return FlowDataset(normalizer.apply(ds.flows), ds.timestamps, ds.graph)
 
 
-# No batch's autodiff graph outlives its batch: from each forward_batch,
-# training, validation and evaluation keep only ndarrays and floats before
-# the next one runs, so memory does not grow with the number of batches.
+# No batch's autodiff graph outlives its batch: training keeps only ndarrays
+# and floats from each forward_batch, so memory does not grow with the number
+# of batches. Validation and evaluation run frozen and build no graph at all.
 def _train_step(model: StgormerModel, opt: AdamState, xs, tss, ys,
                 epoch: int) -> tuple[dict, list[np.ndarray]]:
     """One optimizer step on a batch; returns the loss parts and the gate usage."""
@@ -107,12 +107,13 @@ def _validation_mae(model: StgormerModel, windows, batch_size: int) -> float:
     """Plain MAE over all validation windows, on the normalized scale."""
     total_abs = 0.0
     total_count = 0
-    for start in range(0, len(windows), batch_size):
-        idx = range(start, min(start + batch_size, len(windows)))
-        xs, tss, ys = _stack_windows(windows, idx)
-        pred = model.forward_batch(xs, tss)[0].data
-        total_abs += float(np.abs(pred - ys).sum())
-        total_count += ys.size
+    with model.store.frozen():
+        for start in range(0, len(windows), batch_size):
+            idx = range(start, min(start + batch_size, len(windows)))
+            xs, tss, ys = _stack_windows(windows, idx)
+            pred = model.forward_batch(xs, tss)[0].data
+            total_abs += float(np.abs(pred - ys).sum())
+            total_count += ys.size
     return total_abs / total_count
 
 
@@ -215,12 +216,13 @@ def evaluate(model: StgormerModel, ds: FlowDataset, threshold: float,
         raise ValueError("empty split: no windows to evaluate")
     preds = []
     targets = []
-    for start in range(0, len(windows), batch_size):
-        idx = range(start, min(start + batch_size, len(windows)))
-        xs, tss, ys = _stack_windows(windows, idx)
-        pred = model.forward_batch(model.normalizer.apply(xs), tss)[0].data
-        preds.append(model.normalizer.invert(pred))
-        targets.append(ys)
+    with model.store.frozen():
+        for start in range(0, len(windows), batch_size):
+            idx = range(start, min(start + batch_size, len(windows)))
+            xs, tss, ys = _stack_windows(windows, idx)
+            pred = model.forward_batch(model.normalizer.apply(xs), tss)[0].data
+            preds.append(model.normalizer.invert(pred))
+            targets.append(ys)
     return metrics(np.concatenate(targets), np.concatenate(preds), threshold)
 
 

@@ -105,7 +105,8 @@ class TestScaledDotAttention:
 
         def fwd():
             out = scaled_dot_attention(Tensor(x), p, bias=bias)
-            return ((out - Tensor(target)) ** 2).mean()
+            diff = out - Tensor(target)
+            return (diff * diff).mean()
 
         assert finite_difference_check(fwd, store) < 1e-4
 
@@ -294,7 +295,7 @@ class TestSpatialAttention:
                 x, p1, bias=spd_bias(spd, tables[0], max_spd=4))
             out = spatial_attention(
                 out, p2, bias=spd_bias(spd, tables[1], max_spd=4))
-            return (out ** 2).sum()
+            return (out * out).sum()
 
         shared_store = ParameterStore()
         shared = shared_store.add("table", table_values)
@@ -322,6 +323,7 @@ class TestSpatialAttention:
         def fwd():
             bias = spd_bias(spd, table, max_spd=4)
             out = spatial_attention(Tensor(h), p, bias=bias)
-            return ((out - Tensor(target)) ** 2).mean()
+            diff = out - Tensor(target)
+            return (diff * diff).mean()
 
         assert finite_difference_check(fwd, store) < 1e-4

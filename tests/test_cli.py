@@ -1,5 +1,6 @@
 import hashlib
 import pathlib
+import shutil
 import subprocess
 import sys
 import zlib
@@ -290,6 +291,56 @@ class TestEval:
                      "--data", str(tmp_path / "other")])
         assert code == 2
         assert "mismatch" in capsys.readouterr().err
+
+
+class TestEvalGraphCheck:
+    @pytest.fixture()
+    def one_edge_run(self, workspace):
+        # the synthetic data's flows under an undirected one-edge graph
+        lone = workspace / "lone"
+        shutil.copytree(workspace / "data", lone)
+        (lone / "graph.txt").write_text("6 undirected\n0 1\n")
+        assert main(["train", "--config", str(workspace / "run.txt"),
+                     "--data", str(lone), "--out", str(workspace / "run")]) == 0
+        return workspace / "run" / "model.ckpt", lone
+
+    def eval_with_graph(self, ckpt, data, graph_text):
+        (data / "graph.txt").write_text(graph_text)
+        report = data.parent / "report.txt"
+        report.unlink(missing_ok=True)
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(report)])
+        return code, report
+
+    def test_directed_data_rejected(self, one_edge_run, workspace, capsys):
+        ckpt, _ = one_edge_run
+        report = workspace / "report.txt"
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace / "data"),
+                     "--out", str(report)])
+        assert code == 2
+        assert ("graph mismatch: checkpoint graph is undirected, data graph is directed"
+                in capsys.readouterr().err)
+        assert not report.exists()
+
+    @pytest.mark.parametrize("graph_text,difference", [
+        ("6 undirected\n0 1\n1 2\n", "edge 1 2 is only in the data graph"),
+        ("6 undirected\n", "edge 0 1 is only in the checkpoint graph"),
+        ("6 undirected\n0 2\n", "edge 0 1 is only in the checkpoint graph"),
+        ("6 undirected\n2 5\n1 0\n", "edge 2 5 is only in the data graph"),
+    ])
+    def test_first_differing_edge_named(self, one_edge_run, capsys, graph_text, difference):
+        code, report = self.eval_with_graph(*one_edge_run, graph_text)
+        assert code == 2
+        assert f"graph mismatch: {difference}" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_same_graph_in_other_words_accepted(self, one_edge_run):
+        code, report = self.eval_with_graph(*one_edge_run, "6 undirected\n0 1\n")
+        assert code == 0
+        expected = report.read_bytes()
+        code, report = self.eval_with_graph(*one_edge_run, "# comment\n6 undirected\n\n1 0\n")
+        assert code == 0
+        assert report.read_bytes() == expected
 
 
 class TestPredict:

@@ -286,6 +286,19 @@ class TestFlowFiles:
         with pytest.raises(FlowFormatError, match="^line 4: non-finite"):
             load_flows(p, g, np.zeros((1, 2)))
 
+    @pytest.mark.parametrize("t, c, message", [
+        (1, 10 ** 15, "header says 1000000000000000 channels but the first data line has 1"),
+        (1, 2, "header says 2 channels but the first data line has 1"),
+        (1, 0, "channel count 0 is not positive"),
+        (0, -3, "channel count -3 is not positive"),
+    ])
+    def test_header_channel_count_checked_before_allocation(self, tmp_path, t, c, message):
+        p = tmp_path / "flows.txt"
+        p.write_text(f"{t} 2 {c}\n" + "1.0\n2.0\n" * t)
+        g = SpatioTemporalGraph.from_edge_list(2, [(0, 1)])
+        with pytest.raises(FlowFormatError, match=f"^line 1: {message}$"):
+            load_flows(p, g, np.zeros((t, 2)))
+
     def test_graph_mismatch_rejected(self, tmp_path):
         p = tmp_path / "flows.txt"
         p.write_text("1 3 1\n1.0\n2.0\n3.0\n")

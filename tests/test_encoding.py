@@ -202,6 +202,7 @@ class TestFuseInputs:
             s_enc = spatial_input_encoding(
                 g, DegreeEmbeddingTables(zm, zp, 4))
             out = fuse_inputs(Tensor(x), t_enc, s_enc, fw, fb)
-            return ((out - Tensor(target)) ** 2).mean()
+            diff = out - Tensor(target)
+            return (diff * diff).mean()
 
         assert finite_difference_check(fwd, store) < 1e-4

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -304,6 +305,47 @@ class TestPredict:
             model.predict(x, ts)
 
 
+class TestFrozenInference:
+    def test_frozen_default_batch_keeps_no_graph(self):
+        # default config, 12 nodes, batch 32: a recorded graph holds hundreds
+        # of MiB after the call; a frozen forward keeps only its output
+        cfg = StgormerConfig()
+        model = build(cfg, small_graph(n=12, seed=5, prob=0.3))
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(32, cfg.input_len, 12, cfg.channels))
+        ts = rng.uniform(0, 1, size=(32, cfg.input_len, cfg.temporal_features))
+        with model.store.frozen():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                pred, usage = model.forward_batch(x, ts)
+                kept = tracemalloc.get_traced_memory()[0] - before
+            finally:
+                tracemalloc.stop()
+        assert kept < 2 ** 20, f"{kept / 2 ** 20:.1f} MiB live after a frozen forward"
+        assert not pred.requires_grad and not any(u.requires_grad for u in usage)
+
+    def test_frozen_forward_is_bitwise_the_recorded_one(self):
+        cfg = small_config()
+        model = build(cfg, small_graph())
+        x, ts, _ = sample_inputs(cfg, 6)
+        recorded = model.forward(x, ts)
+        with model.store.frozen():
+            frozen = model.forward(x, ts)
+        assert recorded.requires_grad
+        assert frozen.data.tobytes() == recorded.data.tobytes()
+
+    def test_predict_keeps_each_parameter_flag(self):
+        cfg = small_config()
+        model = build(cfg, small_graph())
+        model.normalizer = Normalizer(mean=np.array([0.0]), std=np.array([1.0]))
+        frozen_path = "blocks.00.spatial.ffn.expert1.w2"
+        model.store[frozen_path].requires_grad = False
+        x, ts, _ = sample_inputs(cfg, 6)
+        model.predict(x, ts)
+        assert [p for p, t in model.store.items() if not t.requires_grad] == [frozen_path]
+
+
 class TestFullGradient:
     def test_full_model_finite_difference(self):
         cfg = small_config()
@@ -435,6 +477,25 @@ class TestCheckpoint:
         save_model(model, p)
         loaded = load_model(p)
         assert loaded.store.paths() == model.store.paths()
+        for (_, saved), (_, got) in zip(model.store.items(), loaded.store.items()):
+            assert got.data.tobytes() == saved.data.tobytes()
+
+    def test_load_allocates_no_gradient_buffers(self, tmp_path, monkeypatch):
+        model = build(small_config(), small_graph())
+        p = tmp_path / "model.ckpt"
+        save_model(model, p)
+        calls = []
+        zeros_like = np.zeros_like
+
+        def counting_zeros_like(*args, **kwargs):
+            calls.append(args[0].shape)
+            return zeros_like(*args, **kwargs)
+
+        monkeypatch.setattr(np, "zeros_like", counting_zeros_like)
+        loaded = load_model(p)
+        monkeypatch.undo()
+        assert calls == []
+        assert all(t.grad is None and t.requires_grad for _, t in loaded.store.items())
         for (_, saved), (_, got) in zip(model.store.items(), loaded.store.items()):
             assert got.data.tobytes() == saved.data.tobytes()
 

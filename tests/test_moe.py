@@ -106,7 +106,8 @@ class TestMoEForward:
 
         def fwd():
             out, usage = moe_forward(Tensor(x), experts, router)
-            err = ((out - Tensor(target)) ** 2).mean()
+            diff = out - Tensor(target)
+            err = (diff * diff).mean()
             return err + 0.1 * load_balance_loss(usage)
 
         assert finite_difference_check(fwd, store) < 1e-4
@@ -141,7 +142,8 @@ class TestDenseMixture:
             for t in tensors:
                 t.grad = None
             out = combine(x, weights, experts)
-            ((out - target) ** 2).sum().backward()
+            diff = out - target
+            (diff * diff).sum().backward()
             return out.data, [t.grad for t in tensors]
 
         fused, fused_grads = run(dense_mixture)
@@ -161,7 +163,8 @@ class TestDenseMixture:
 
         def fwd():
             out, usage = moe_forward(x, experts, router)
-            return ((out - Tensor(target)) ** 2).mean() + 0.1 * load_balance_loss(usage)
+            diff = out - Tensor(target)
+            return (diff * diff).mean() + 0.1 * load_balance_loss(usage)
 
         assert finite_difference_check(fwd, store, max_coords=300) < 1e-4
 
@@ -196,7 +199,8 @@ class TestDenseMixture:
 
         def fwd():
             out, usage = moe_forward(Tensor(x), experts, router)
-            return ((out - Tensor(target)) ** 2).mean() + 0.1 * load_balance_loss(usage)
+            diff = out - Tensor(target)
+            return (diff * diff).mean() + 0.1 * load_balance_loss(usage)
 
         assert finite_difference_check(fwd, store) < 1e-4
 
@@ -213,7 +217,8 @@ class TestDenseMixture:
 
         def fwd():
             out, _ = moe_forward(Tensor(x), experts, router)
-            return ((out - Tensor(target)) ** 2).mean()
+            diff = out - Tensor(target)
+            return (diff * diff).mean()
 
         assert finite_difference_check(fwd, store) < 1e-4
         for e in frozen:

@@ -11,6 +11,10 @@ from stgormer.numerics import (AdamState, ParameterStore, Tensor, adam_step,
                                scheduled_lr, softmax, write_param_block)
 
 
+def square(t: Tensor) -> Tensor:
+    return t * t
+
+
 def triple_loop_matmul(x, w, b):
     out = np.zeros((x.shape[0], w.shape[1]))
     for i in range(x.shape[0]):
@@ -161,11 +165,72 @@ class TestBackward:
         assert b.grad.tolist() == [1001.0, 1010.0]
 
 
+class TestFrozenStore:
+    def test_forward_inside_records_no_graph(self):
+        store = ParameterStore()
+        p = store.add("p", np.array([1.0, 2.0]))
+        with store.frozen():
+            out = (p * p).sum()
+        assert not out.requires_grad
+        assert out._prev == () and out._backward_fn is None
+        assert p.requires_grad
+
+    def test_restores_mixed_flags_after_exception(self):
+        store = ParameterStore()
+        live = store.add("live", np.zeros(2))
+        kept_frozen = store.add("expert.w1", np.zeros(2))
+        kept_frozen.requires_grad = False
+        with pytest.raises(RuntimeError, match="inside"):
+            with store.frozen():
+                assert not live.requires_grad and not kept_frozen.requires_grad
+                raise RuntimeError("raised inside the block")
+        assert live.requires_grad
+        assert not kept_frozen.requires_grad
+        with store.frozen():
+            with store.frozen():
+                pass
+            assert not live.requires_grad
+        assert live.requires_grad and not kept_frozen.requires_grad
+
+    def test_backward_inside_is_rejected(self):
+        store = ParameterStore()
+        p = store.add("p", np.array([1.0, 2.0]))
+        loss = (p * p).sum()
+        with store.frozen():
+            with pytest.raises(ValueError, match="frozen parameter store"):
+                backward(loss, store)
+            frozen_loss = (p * p).sum()
+        with pytest.raises(ValueError, match="no autodiff graph"):
+            backward(frozen_loss, store)
+        assert p.grad is None
+
+    def test_backward_of_constant_loss_is_rejected(self):
+        store = ParameterStore()
+        store.add("p", np.array([1.0]))
+        with pytest.raises(ValueError, match="no autodiff graph"):
+            backward(Tensor(np.array(3.0)), store)
+
+    def test_add_allocates_no_gradient_until_zero_grad(self):
+        store = ParameterStore()
+        p = store.add("p", np.array([1.0, 2.0]))
+        assert p.grad is None
+        store.zero_grad()
+        assert np.array_equal(p.grad, np.zeros(2))
+
+    def test_add_copies_a_read_only_value_into_a_writable_parameter(self):
+        store = ParameterStore()
+        value = np.frombuffer(np.array([1.0, 2.0]).tobytes(), dtype="<f8")
+        p = store.add("p", value)
+        assert not np.shares_memory(p.data, value)
+        assert p.data.flags.writeable and p.data.tolist() == [1.0, 2.0]
+
+
 class TestAdam:
     def test_zero_gradient_leaves_parameters(self):
         store = ParameterStore()
         p = store.add("p", np.array([1.0, -1.0]))
         before = p.data.copy()
+        store.zero_grad()
         adam_step(store, AdamState(lr=0.01))
         assert np.array_equal(p.data, before)
 
@@ -204,7 +269,8 @@ class TestAdam:
             x = Tensor(rng.normal(size=(3, 4)))
             state = AdamState(lr=0.01)
             for _ in range(20):
-                backward(((x @ p) ** 2).sum(), store)
+                y = x @ p
+                backward((y * y).sum(), store)
                 adam_step(store, state)
             return p.data.copy()
 
@@ -244,7 +310,8 @@ class TestFiniteDifference:
 
         def fwd():
             probs = softmax(x @ p, axis=-1)
-            return ((probs - target) ** 2).mean()
+            diff = probs - target
+            return (diff * diff).mean()
 
         assert finite_difference_check(fwd, store, step=1e-5) < 1e-6
 
@@ -307,37 +374,41 @@ class TestPrimitiveGradients:
                   for i, s in enumerate(shapes)]
         assert finite_difference_check(lambda: build_loss(*params), store) < tol
 
-    def test_add_mul_sub_div(self):
-        self.check(lambda a, b: ((a + b) * (a - b) / (b * b + 3.0)).sum(),
+    def test_add_mul_sub(self):
+        self.check(lambda a, b: ((a + b) * (a - b) * (b * b + 3.0)).sum(),
                    [(3, 4), (3, 4)])
 
     def test_broadcast_add(self):
-        self.check(lambda a, b: ((a + b) ** 2).mean(), [(3, 4), (4,)])
+        self.check(lambda a, b: square(a + b).mean(), [(3, 4), (4,)])
 
     def test_matmul(self):
         self.check(lambda a, b: (a @ b).sum(), [(3, 4), (4, 2)])
 
     def test_batched_matmul(self):
-        self.check(lambda a, b: ((a @ b) ** 2).sum(), [(2, 3, 4), (2, 4, 2)])
+        self.check(lambda a, b: square(a @ b).sum(), [(2, 3, 4), (2, 4, 2)])
 
     def test_reductions(self):
         self.check(lambda a: a.sum(axis=0).mean() + a.mean(axis=(0, 1)).sum(),
                    [(3, 4, 2)])
 
     def test_reshape_transpose_slice(self):
-        self.check(lambda a: (a.reshape(6, 2).transpose(1, 0)[:, 1:4] ** 2).sum(),
+        self.check(lambda a: square(a.reshape(6, 2).transpose(1, 0)[:, 1:4]).sum(),
                    [(3, 4)])
 
     def test_expand(self):
-        self.check(lambda a: (a.expand((5, 3, 4)) ** 3).sum(), [(3, 4)])
+        def cube_sum(a):
+            e = a.expand((5, 3, 4))
+            return (e * e * e).sum()
+
+        self.check(cube_sum, [(3, 4)])
 
     def test_concat(self):
-        self.check(lambda a, b: (concat([a, b], axis=1) ** 2).sum(),
+        self.check(lambda a, b: square(concat([a, b], axis=1)).sum(),
                    [(3, 2), (3, 4)])
 
     def test_gather_rows(self):
         idx = np.array([[0, 2, 2], [1, 0, 2]])
-        self.check(lambda t: (gather_rows(t, idx) ** 2).sum(), [(3, 5)])
+        self.check(lambda t: square(gather_rows(t, idx)).sum(), [(3, 5)])
 
     def test_nonlinearities(self):
         self.check(lambda a: (a.relu() + a.sin() + (a + 10.0).abs()).sum(),
@@ -345,7 +416,7 @@ class TestPrimitiveGradients:
 
     def test_softmax_layer_norm_composed(self):
         self.check(
-            lambda a, g, b: (softmax(layer_norm(a, g, b), axis=-1) ** 2).sum(),
+            lambda a, g, b: square(softmax(layer_norm(a, g, b), axis=-1)).sum(),
             [(3, 6), (6,), (6,)], tol=1e-5)
 
 
