@@ -69,7 +69,7 @@ def scaled_dot_attention(x: Tensor, params: AttentionParams,
         return t.reshape(m, length, h, dh).transpose(0, 2, 1, 3)
 
     q = split_heads(linear(x, params.w_q, params.b_q))
-    k = split_heads(x @ params.w_k)
+    k = split_heads(linear(x, params.w_k, None))
     v = split_heads(linear(x, params.w_v, params.b_v))
 
     scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))

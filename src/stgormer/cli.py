@@ -88,6 +88,16 @@ def load_run_config(config_path, overrides: list[str]
     return mcfg, tcfg, resolved
 
 
+def load_synth_spec(path) -> SyntheticSpec:
+    """Parse and validate a synthetic spec file, listing every bad field."""
+    errors: list[str] = []
+    spec = kv.overlay(SyntheticSpec(), kv.read_file(path), errors)
+    if errors:
+        raise ValueError("synth spec: " + "; ".join(errors))
+    spec.validate()
+    return spec
+
+
 # -- shared I/O ---------------------------------------------------------------------
 
 
@@ -99,6 +109,14 @@ def load_data_dir(data_dir) -> FlowDataset:
     graph = load_graph(data_dir / "graph.txt")
     timestamps = load_timestamps(data_dir / "timestamps.txt")
     return load_flows(data_dir / "flows.txt", graph, timestamps)
+
+
+def check_timestamp_features(path, timestamps, config: StgormerConfig) -> None:
+    """Reject a timestamps file whose per-step feature count is not the model's."""
+    if timestamps.shape[1] != config.temporal_features:
+        raise ValueError(
+            f"{path}: timestamps carry {timestamps.shape[1]} features per step but "
+            f"the model expects temporal_features={config.temporal_features}")
 
 
 def _now() -> str:
@@ -126,15 +144,18 @@ def write_report(path, report: dict) -> None:
             fh.write(f"{key}={kv.encode(report[key])}\n")
 
 
+def write_csv(path, header, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 # -- subcommands ----------------------------------------------------------------------
 
 
 def cmd_synth(args) -> int:
-    errors: list[str] = []
-    spec = kv.overlay(SyntheticSpec(), kv.read_file(args.spec), errors)
-    if errors:
-        raise ValueError("synth spec: " + "; ".join(errors))
-    spec.validate()
+    spec = load_synth_spec(args.spec)
     ds = synthesize(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -152,6 +173,7 @@ def cmd_synth(args) -> int:
 def cmd_train(args) -> int:
     mcfg, tcfg, resolved = load_run_config(args.config, args.override)
     ds = load_data_dir(args.data)
+    check_timestamp_features(Path(args.data) / "timestamps.txt", ds.timestamps, mcfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.txt"
@@ -198,6 +220,8 @@ def cmd_eval(args) -> int:
     mismatch = graph_mismatch(model.graph, ds.graph)
     if mismatch:
         raise ValueError(f"graph mismatch: {mismatch}")
+    check_timestamp_features(Path(args.data) / "timestamps.txt", ds.timestamps,
+                             model.config)
     piece = _split_by_name(ds, args.split)
     report = evaluate(model, piece, args.threshold)
     out = Path(args.out) if args.out else Path(f"eval_{args.split}.txt")
@@ -216,6 +240,7 @@ def cmd_predict(args) -> int:
         raise ValueError(
             f"window carries {window.num_steps} steps but the model expects "
             f"input_len={model.config.input_len}")
+    check_timestamp_features(args.timestamps, window.timestamps, model.config)
     forecast = model.predict(window.flows, window.timestamps)
     write_flow_tensor(args.out, forecast)
     print(f"forecast written to {args.out}")
@@ -227,27 +252,17 @@ def cmd_encode(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     indeg, outdeg = degrees(g)
-    with open(out / "degrees.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["indegree", "outdegree"])
-        for i, o in zip(indeg, outdeg):
-            writer.writerow([int(i), int(o)])
+    write_csv(out / "degrees.csv", ["indegree", "outdegree"],
+              zip(indeg.tolist(), outdeg.tolist()))
     spd = shortest_path_matrix(g)
     header = [str(i) for i in range(g.num_nodes)]
-    with open(out / "spd.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in spd.values:
-            writer.writerow([int(v) for v in row])
+    write_csv(out / "spd.csv", header, spd.values.tolist())
     if args.checkpoint:
         model = load_model(args.checkpoint)
         with model.store.frozen():
             bias = spd_bias(spd, model.spd_table, model.config.max_spd)
-        with open(out / "sa_bias.csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in bias.data:
-                writer.writerow([repr(float(v)) for v in row])
+        write_csv(out / "sa_bias.csv", header,
+                  (map(repr, row) for row in bias.data.tolist()))
     print(f"structural encodings written to {out}")
     return 0
 
@@ -255,15 +270,13 @@ def cmd_encode(args) -> int:
 def cmd_study(args) -> int:
     mcfg, tcfg, _ = load_run_config(args.config, args.override)
     ds = load_data_dir(args.data)
+    check_timestamp_features(Path(args.data) / "timestamps.txt", ds.timestamps, mcfg)
     rows = study(mcfg, tcfg, ds, args.axis)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(STUDY_COLUMNS)
-        for row in rows:
-            writer.writerow([row["variant"], repr(row["mae"]), repr(row["rmse"]),
-                             repr(row["mape"]), row["epochs"], row["params"]])
+    write_csv(out, STUDY_COLUMNS,
+              ([row["variant"], repr(row["mae"]), repr(row["rmse"]), repr(row["mape"]),
+                row["epochs"], row["params"]] for row in rows))
     print(f"study table ({len(rows)} rows) written to {out}")
     return 0
 

@@ -151,11 +151,15 @@ class SyntheticSpec:
             raise ValueError("num_nodes, total_steps, and channels must be >= 1")
         if not (0.0 <= self.edge_prob <= 1.0):
             raise ValueError("edge_prob must lie in [0, 1]")
-        if self.daily_period < 1 or self.weekly_period % self.daily_period != 0:
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        if (self.daily_period < 1 or self.weekly_period < 1
+                or self.weekly_period % self.daily_period != 0):
             raise ValueError("weekly_period must be a positive multiple of daily_period")
         for name in ("amplitude_range", "phase_range", "weekly_amplitude_range"):
             lo, hi = getattr(self, name)
-            if hi < lo:
+            # the sign bit, as numpy's uniform checks it: (0.0, -0.0) is empty too
+            if np.signbit(hi - lo):
                 raise ValueError(f"{name} is empty: ({lo}, {hi})")
         if self.diffusion_rounds < 0 or self.noise_std < 0:
             raise ValueError("diffusion_rounds and noise_std must be non-negative")
@@ -266,15 +270,18 @@ def metrics(y: np.ndarray, y_hat: np.ndarray, threshold: float = 0.0) -> dict:
 # -- flow / timestamp file formats ----------------------------------------------------
 
 
+def _write_rows(fh, rows: np.ndarray) -> None:
+    """One line per row of comma-joined full-precision decimals."""
+    fh.writelines(",".join(map(repr, row)) + "\n" for row in rows.tolist())
+
+
 def write_flow_tensor(path, values: np.ndarray) -> None:
     """Header "T N C" then T*N lines of C comma-joined full-precision decimals."""
     values = np.asarray(values, dtype=np.float64)
     t, n, c = values.shape
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{t} {n} {c}\n")
-        flat = values.reshape(t * n, c)
-        for row in flat:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        _write_rows(fh, values.reshape(t * n, c))
 
 
 def save_flows(path, ds: FlowDataset) -> None:
@@ -335,8 +342,7 @@ def load_flows(path, graph: SpatioTemporalGraph,
 
 def save_timestamps(path, timestamps: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for row in np.asarray(timestamps, dtype=np.float64):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        _write_rows(fh, np.asarray(timestamps, dtype=np.float64))
 
 
 def load_timestamps(path) -> np.ndarray:

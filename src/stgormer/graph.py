@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import ClassVar, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -102,7 +102,6 @@ class SpdMatrix:
     """All-pairs shortest hop distances; -1 marks unreachable pairs."""
 
     values: np.ndarray
-    unreachable_sentinel: ClassVar[int] = UNREACHABLE
 
     def __post_init__(self) -> None:
         vals = np.asarray(self.values, dtype=np.int64)

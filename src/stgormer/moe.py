@@ -117,9 +117,9 @@ def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Te
             dw1 += x1[rows].T @ d
         if d_gw is not None:
             d_gw += g2 @ b2.T
-            weights._accumulate(d_gw.reshape(weights.shape), fresh=True)
+            weights._accumulate(d_gw.reshape(weights.shape))
         if dx is not None:
-            x._accumulate(dx.reshape(x.shape), fresh=True)
+            x._accumulate(dx.reshape(x.shape))
         dw1, db1 = dw1[:width], dw1[width]
         db2 = gw.T @ g2
         for e, expert in enumerate(experts):

@@ -57,14 +57,12 @@ class Tensor:
     the finite-difference probe do this).
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_owns_grad", "_prev", "_backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "_prev", "_backward_fn")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = _as_array(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        # a gradient buffer assigned from outside (zero_grad's) is owned
-        self._owns_grad = True
         self._prev: tuple[Tensor, ...] = ()
         self._backward_fn: Callable[[np.ndarray], None] | None = None
 
@@ -81,23 +79,14 @@ class Tensor:
             out._backward_fn = backward_fn
         return out
 
-    def _accumulate(self, g: np.ndarray, fresh: bool = False) -> None:
-        """Add to this node's gradient, copying only on a second write.
+    def _accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` to this node's gradient.
 
-        ``fresh`` asserts the caller allocated ``g`` exclusively for this
-        parent, so the node owns it and later contributions add in place.
-        Otherwise ``g`` (a view, or the consumer's own buffer, which siblings
-        may share) is borrowed: a later contribution builds a new array
-        instead of writing into it.
+        The engine never writes into an array once it has been passed here:
+        ``g`` may be a view or a buffer that siblings share, so a second
+        contribution builds a new array.
         """
-        if self.grad is None:
-            self.grad = g
-            self._owns_grad = fresh
-        elif self._owns_grad:
-            self.grad += g
-        else:
-            self.grad = self.grad + g
-            self._owns_grad = True
+        self.grad = g if self.grad is None else self.grad + g
 
     def backward(self) -> None:
         """Backpropagate from this scalar through the recorded graph."""
@@ -118,7 +107,7 @@ class Tensor:
             for parent in node._prev:
                 if id(parent) not in visited:
                     stack.append((parent, False))
-        self._accumulate(np.ones_like(self.data), fresh=True)
+        self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
             if node._backward_fn is not None and node.grad is not None:
                 node._backward_fn(node.grad)
@@ -143,11 +132,9 @@ class Tensor:
 
         def back(g: np.ndarray) -> None:
             if self.requires_grad:
-                h = _unbroadcast(g, self.data.shape)
-                self._accumulate(h, fresh=h is not g)
+                self._accumulate(_unbroadcast(g, self.data.shape))
             if other.requires_grad:
-                h = _unbroadcast(g, other.data.shape)
-                other._accumulate(h, fresh=h is not g)
+                other._accumulate(_unbroadcast(g, other.data.shape))
 
         return Tensor._result(data, (self, other), back)
 
@@ -157,11 +144,9 @@ class Tensor:
 
         def back(g: np.ndarray) -> None:
             if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.data.shape),
-                                 fresh=True)
+                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
             if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.data.shape),
-                                  fresh=True)
+                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
 
         return Tensor._result(data, (self, other), back)
 
@@ -173,41 +158,24 @@ class Tensor:
 
         def back(g: np.ndarray) -> None:
             if self.requires_grad:
-                h = _unbroadcast(g, self.data.shape)
-                self._accumulate(h, fresh=h is not g)
+                self._accumulate(_unbroadcast(g, self.data.shape))
             if other.requires_grad:
-                other._accumulate(_unbroadcast(-g, other.data.shape), fresh=True)
+                other._accumulate(_unbroadcast(-g, other.data.shape))
 
         return Tensor._result(data, (self, other), back)
 
     def __matmul__(self, other) -> "Tensor":
         other = other if isinstance(other, Tensor) else Tensor(other)
         a, b = self.data, other.data
-        if b.ndim == 2 and a.ndim >= 2:
-            # stacked (..., k) @ (k, n): one flattened GEMM beats numpy's
-            # per-batch loop by a wide margin at desk scale
-            lead = a.shape[:-1]
-            a2 = a.reshape(-1, a.shape[-1])
-            data = (a2 @ b).reshape(lead + (b.shape[1],))
-
-            def back(g: np.ndarray) -> None:
-                g2 = g.reshape(-1, b.shape[1])
-                if self.requires_grad:
-                    self._accumulate((g2 @ b.T).reshape(a.shape), fresh=True)
-                if other.requires_grad:
-                    other._accumulate(a2.T @ g2, fresh=True)
-
-            return Tensor._result(data, (self, other), back)
-
         data = np.matmul(a, b)
 
         def back(g: np.ndarray) -> None:
             if self.requires_grad:
                 ga = np.matmul(g, np.swapaxes(b, -1, -2))
-                self._accumulate(_unbroadcast(ga, a.shape), fresh=True)
+                self._accumulate(_unbroadcast(ga, a.shape))
             if other.requires_grad:
                 gb = np.matmul(np.swapaxes(a, -1, -2), g)
-                other._accumulate(_unbroadcast(gb, b.shape), fresh=True)
+                other._accumulate(_unbroadcast(gb, b.shape))
 
         return Tensor._result(data, (self, other), back)
 
@@ -218,21 +186,16 @@ class Tensor:
         in_shape = self.data.shape
 
         def back(g: np.ndarray) -> None:
-            if axis is None:
-                self._accumulate(np.broadcast_to(g, in_shape).copy(), fresh=True)
-                return
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            if not keepdims:
-                g = np.expand_dims(g, axes)
-            self._accumulate(np.broadcast_to(g, in_shape).copy(), fresh=True)
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            self._accumulate(np.broadcast_to(g, in_shape).copy())
 
         return Tensor._result(data, (self,), back)
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        count = self.data.size if axis is None else (
-            np.prod([self.data.shape[a] for a in
-                     (axis if isinstance(axis, tuple) else (axis,))]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(count))
+        total = self.sum(axis=axis, keepdims=keepdims)
+        # an exact integer ratio, correctly rounded: the bits of 1 / count
+        return total * (total.data.size / self.data.size)
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -262,8 +225,7 @@ class Tensor:
         in_shape = self.data.shape
 
         def back(g: np.ndarray) -> None:
-            h = _unbroadcast(g, in_shape)
-            self._accumulate(h, fresh=h is not g)
+            self._accumulate(_unbroadcast(g, in_shape))
 
         return Tensor._result(data, (self,), back)
 
@@ -274,7 +236,7 @@ class Tensor:
         def back(g: np.ndarray) -> None:
             buf = np.zeros(in_shape, dtype=np.float64)
             np.add.at(buf, key, g)
-            self._accumulate(buf, fresh=True)
+            self._accumulate(buf)
 
         return Tensor._result(np.array(data), (self,), back)
 
@@ -285,7 +247,7 @@ class Tensor:
         data = np.maximum(self.data, 0.0)
 
         def back(g: np.ndarray) -> None:
-            self._accumulate(g * mask, fresh=True)
+            self._accumulate(g * mask)
 
         return Tensor._result(data, (self,), back)
 
@@ -293,7 +255,7 @@ class Tensor:
         data = np.sin(self.data)
 
         def back(g: np.ndarray) -> None:
-            self._accumulate(g * np.cos(self.data), fresh=True)
+            self._accumulate(g * np.cos(self.data))
 
         return Tensor._result(data, (self,), back)
 
@@ -302,7 +264,7 @@ class Tensor:
         sign = np.sign(self.data)
 
         def back(g: np.ndarray) -> None:
-            self._accumulate(g * sign, fresh=True)
+            self._accumulate(g * sign)
 
         return Tensor._result(data, (self,), back)
 
@@ -318,13 +280,13 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
     def back(g: np.ndarray) -> None:
         inner = (g * out_data).sum(axis=axis, keepdims=True)
-        x._accumulate(out_data * (g - inner), fresh=True)
+        x._accumulate(out_data * (g - inner))
 
     return Tensor._result(out_data, (x,), back)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map over the trailing axis: x @ weight + bias.
+def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
+    """Affine map over the trailing axis: x @ weight + bias (no bias if None).
 
     Fused primitive: one flattened GEMM forward, two GEMMs plus a column
     reduction backward.
@@ -334,20 +296,23 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
             f"linear: trailing extent {x.shape[-1]} does not match "
             f"weight rows {weight.shape[0]}")
     lead = x.shape[:-1]
-    w, b = weight.data, bias.data
+    w = weight.data
     x2 = x.data.reshape(-1, x.shape[-1])
-    out = (x2 @ w + b).reshape(lead + (w.shape[1],))
+    out = x2 @ w
+    if bias is not None:
+        out += bias.data
 
     def back(g: np.ndarray) -> None:
         g2 = g.reshape(-1, w.shape[1])
         if x.requires_grad:
-            x._accumulate((g2 @ w.T).reshape(x.data.shape), fresh=True)
+            x._accumulate((g2 @ w.T).reshape(x.data.shape))
         if weight.requires_grad:
-            weight._accumulate(x2.T @ g2, fresh=True)
-        if bias.requires_grad:
-            bias._accumulate(g2.sum(axis=0), fresh=True)
+            weight._accumulate(x2.T @ g2)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g2.sum(axis=0))
 
-    return Tensor._result(out, (x, weight, bias), back)
+    parents = (x, weight) if bias is None else (x, weight, bias)
+    return Tensor._result(out.reshape(lead + (w.shape[1],)), parents, back)
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
@@ -365,16 +330,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
 
     def back(g: np.ndarray) -> None:
         if beta.requires_grad:
-            h = _unbroadcast(g, beta.data.shape)
-            beta._accumulate(h, fresh=h is not g)
+            beta._accumulate(_unbroadcast(g, beta.data.shape))
         if gamma.requires_grad:
-            gamma._accumulate(_unbroadcast(g * normed, gamma.data.shape),
-                              fresh=True)
+            gamma._accumulate(_unbroadcast(g * normed, gamma.data.shape))
         if x.requires_grad:
             gn = g * gamma.data
             inner = (gn * normed).mean(axis=-1, keepdims=True)
             x._accumulate((gn - gn.mean(axis=-1, keepdims=True)
-                           - normed * inner) * inv_sigma, fresh=True)
+                           - normed * inner) * inv_sigma)
 
     return Tensor._result(out_data, (x, gamma, beta), back)
 
@@ -409,7 +372,7 @@ def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
     def back(g: np.ndarray) -> None:
         buf = np.zeros_like(table.data)
         np.add.at(buf, idx, g)
-        table._accumulate(buf, fresh=True)
+        table._accumulate(buf)
 
     return Tensor._result(data, (table,), back)
 
@@ -463,11 +426,7 @@ class ParameterStore:
 
     def zero_grad(self) -> None:
         for t in self._params.values():
-            if t.grad is None or t.grad.shape != t.data.shape or not t._owns_grad:
-                t.grad = np.zeros_like(t.data)
-                t._owns_grad = True
-            else:
-                t.grad.fill(0.0)
+            t.grad = np.zeros_like(t.data)
 
     def num_values(self) -> int:
         """Total scalar parameter count."""

@@ -39,8 +39,8 @@ class TrainConfig:
         errors = []
         if self.batch_size < 1:
             errors.append("batch_size must be >= 1")
-        if self.max_epochs < 0:
-            errors.append("max_epochs must be >= 0")
+        if self.max_epochs < 1:
+            errors.append("max_epochs must be >= 1")
         if self.patience < 1:
             errors.append("patience must be >= 1")
         if self.lr < 0:

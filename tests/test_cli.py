@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from stgormer.cli import load_run_config, main
-from stgormer.data import load_flows, load_timestamps
+from stgormer.data import load_flows, load_timestamps, save_timestamps, write_flow_tensor
 from stgormer.graph import load_graph, shortest_path_matrix
 from stgormer.model import load_model
 
@@ -88,6 +88,18 @@ class TestSynth:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "wheels" in err
+
+    @pytest.mark.parametrize("line,message", [
+        ("seed=-1", "seed must be >= 0"),
+        ("weekly_period=0", "weekly_period must be a positive multiple of daily_period"),
+        ("amplitude_range=0.0,-0.0", "amplitude_range is empty: (0.0, -0.0)"),
+    ])
+    def test_spec_rejected_before_synthesis(self, tmp_path, capsys, line, message):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(f"num_nodes=2\ntotal_steps=5\n{line}\n")
+        code = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")])
+        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+        assert not (tmp_path / "d").exists()
 
     def test_non_finite_spec_value_rejected(self, tmp_path, capsys):
         spec = tmp_path / "nan.txt"
@@ -188,6 +200,15 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "non-finite" in err
+
+    def test_zero_epochs_is_config_error(self, workspace, capsys):
+        code = main(["train", "--config", str(workspace / "run.txt"),
+                     "--data", str(workspace / "data"),
+                     "--out", str(workspace / "x"),
+                     "--override", "train.max_epochs=0"])
+        assert code == 2
+        assert "max_epochs must be >= 1" in capsys.readouterr().err
+        assert not (workspace / "x").exists()
 
     def test_deterministic_checkpoints(self, workspace):
         out1 = train_run(workspace, out="r1")
@@ -394,6 +415,38 @@ class TestPredict:
                      "--out", str(workspace / "f.txt")])
         assert code == 2
         assert "input_len" in capsys.readouterr().err
+
+
+class TestTimestampFeatures:
+    """One feature per step where the model expects temporal_features=2."""
+
+    @pytest.mark.parametrize("command", ["train", "study", "eval", "predict"])
+    def test_feature_count_checked_against_model(self, workspace, capsys, command):
+        data, out = workspace / "data", workspace / "out"
+        ckpt = train_run(workspace) / "model.ckpt" if command in ("eval", "predict") else None
+        ts_path = data / "timestamps.txt"
+        ds = load_flows(data / "flows.txt", load_graph(data / "graph.txt"),
+                        load_timestamps(ts_path))
+        save_timestamps(ts_path, ds.timestamps[:, :1])
+        window, window_ts = workspace / "window.txt", workspace / "window_ts.txt"
+        write_flow_tensor(window, ds.flows[:6])
+        save_timestamps(window_ts, ds.timestamps[:6, :1])
+        argv = {
+            "train": ["train", "--config", str(workspace / "run.txt"),
+                      "--data", str(data), "--out", str(out)],
+            "study": ["study", "--config", str(workspace / "run.txt"), "--data", str(data),
+                      "--axis", "ablation", "--out", str(out / "study.csv")],
+            "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out / "report.txt")],
+            "predict": ["predict", "--checkpoint", str(ckpt), "--window", str(window),
+                        "--timestamps", str(window_ts), "--out", str(out / "f.txt")],
+        }[command]
+        assert main(argv) == 2
+        named = window_ts if command == "predict" else ts_path
+        assert capsys.readouterr().err == (
+            f"error: {named}: timestamps carry 1 features per step but the model "
+            "expects temporal_features=2\n")
+        assert not out.exists()
 
 
 class TestEncode:

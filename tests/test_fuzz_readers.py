@@ -1,4 +1,5 @@
-"""Fuzz the graph, flow and timestamp readers through ``stgormer.cli.main``.
+"""Fuzz the graph, flow and timestamp readers and the key=value files
+(``synth --spec``, ``train --config``) through ``stgormer.cli.main``.
 
 Each generated file is either a valid serialization in some spelling (which
 must parse to exactly the generated values and give the same output as the
@@ -8,19 +9,24 @@ is the reader's own format error or one of the documented cross-checks, and
 no other exception escapes.
 """
 import contextlib
+import dataclasses
 import io
 import re
+import shutil
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from stgormer.cli import main
-from stgormer.data import (FlowFormatError, Normalizer, load_flows, load_timestamps,
-                           save_timestamps, step_timestamps, write_flow_tensor)
+from stgormer import kv
+from stgormer.cli import RUN_KEYS, load_run_config, load_synth_spec, main
+from stgormer.data import (FlowFormatError, Normalizer, SyntheticSpec, load_flows,
+                           load_timestamps, save_timestamps, step_timestamps,
+                           write_flow_tensor)
 from stgormer.graph import GraphFormatError, SpatioTemporalGraph, load_graph, save_graph
 from stgormer.model import StgormerConfig, build, save_model
+from stgormer.train import TrainConfig
 
 NODES = 4
 GRAPH = SpatioTemporalGraph.from_edge_list(NODES, [(0, 1), (1, 2), (3, 2)], directed=True)
@@ -187,7 +193,8 @@ def timestamp_files(draw):
 PREDICT_MESSAGES = re.compile(
     r"timestamps carry \d+ steps but flows carry \d+"
     r"|window carries \d+ steps but the model expects input_len=\d+"
-    r"|timestamps shape \(1, \d+, \d+\) != expected \(1, \d+, \d+\)")
+    r"|.+: timestamps carry \d+ features per step but the model expects "
+    r"temporal_features=\d+")
 
 
 def check_predict(bench, window, timestamps, spelled_window=None) -> bool:
@@ -238,3 +245,172 @@ def test_timestamp_reader_through_predict(bench, case):
     wrote = check_predict(bench, bench["root"] / "window.txt", timestamps)
     if spelled is not None:
         assert wrote == (spelled.shape == (CONFIG.input_len, CONFIG.temporal_features))
+
+
+# -- key=value files: synth --spec and train --config -------------------------------
+
+KV_ALPHABET = "abcdeghilmnoprstuwy._=#0123456789 ,-+\n"
+SHORT_STEPS = 3  # too short for the 7:1:2 split, so train stops before any model
+
+
+@pytest.fixture(scope="module")
+def kv_root(tmp_path_factory):
+    """A scratch directory with a data directory of SHORT_STEPS steps."""
+    root = tmp_path_factory.mktemp("fuzz_kv")
+    short = root / "short"
+    short.mkdir()
+    save_graph(GRAPH, short / "graph.txt")
+    write_flow_tensor(short / "flows.txt", np.ones((SHORT_STEPS, NODES, 1)))
+    save_timestamps(short / "timestamps.txt", step_timestamps(SHORT_STEPS, 8))
+    return root
+
+
+def spell(draw, value) -> str:
+    """``value`` in one of the spellings the codec reads back exactly."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return draw(st.sampled_from((str(value), f"+{value}", f"0{value}")))
+    if isinstance(value, float):
+        return draw(st.sampled_from((repr(value), f"{value:.17e}", f"{value:.17g}")))
+    if isinstance(value, tuple):
+        sep = draw(st.sampled_from((",", ", ")))
+        return sep.join(spell(draw, v) for v in value)
+    return value
+
+
+@st.composite
+def kv_text(draw, values: dict) -> bytes:
+    """``values`` as a key=value file: any key order, padding around keys,
+    '=' and values, comments and blank lines."""
+    lines = []
+    for key in draw(st.permutations(sorted(values))):
+        pad = draw(st.sampled_from(("", " ", "\t")))
+        lines.append(f"{pad}{key}{pad}={pad}{spell(draw, values[key])}{pad}")
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(("", "# a comment", "  # key=value"))))
+    return "\n".join(lines).encode() + b"\n"
+
+
+def ordered(lo: float, hi: float) -> st.SearchStrategy:
+    bound = st.floats(lo, hi)
+    return st.tuples(bound, bound).map(lambda pair: tuple(sorted(pair)))
+
+
+def some_of(draw, fields: dict, coupled: set, always: set = frozenset()) -> dict:
+    """Values for a drawn subset of ``fields`` that holds the ``always`` keys;
+    the ``coupled`` keys, which are only valid together, are written all or none."""
+    keys = draw(st.sets(st.sampled_from(sorted(fields)))) | always
+    if keys & coupled:
+        keys |= coupled
+    return {key: draw(fields[key]) for key in keys}
+
+
+@st.composite
+def synth_spec_files(draw):
+    """A valid synthetic spec that always bounds its size: few nodes and steps."""
+    daily = draw(st.integers(1, 8))
+    fields = {
+        "num_nodes": st.integers(1, 4), "edge_prob": st.floats(0.0, 1.0),
+        "seed": st.integers(0, 2 ** 32), "daily_period": st.just(daily),
+        "weekly_period": st.integers(1, 4).map(lambda k: k * daily),
+        "total_steps": st.integers(1, 40), "channels": st.integers(1, 2),
+        "base_flow": st.floats(-100.0, 100.0), "amplitude_range": ordered(-10.0, 10.0),
+        "phase_range": ordered(-10.0, 10.0), "weekly_amplitude_range": ordered(-1.0, 1.0),
+        "diffusion_rounds": st.integers(0, 2), "noise_std": st.floats(0.0, 2.0),
+    }
+    values = some_of(draw, fields, {"daily_period", "weekly_period"},
+                     {"num_nodes", "total_steps"})
+    return draw(kv_text(values)), dataclasses.replace(SyntheticSpec(), **values)
+
+
+@FUZZ
+@given(case=files(synth_spec_files(), KV_ALPHABET))
+def test_spec_through_synth(kv_root, case):
+    content, spelled = case
+    spec_path, out = kv_root / "spec.txt", kv_root / "synth"
+    spec_path.write_bytes(content)
+    shutil.rmtree(out, ignore_errors=True)
+    argv = ["synth", "--spec", str(spec_path), "--out", str(out)]
+    try:
+        spec = load_synth_spec(spec_path)
+    except ValueError as exc:
+        assert spelled is None
+        assert run(argv) == (2, error_line(str(exc)))
+        assert not out.exists()
+        return
+    # a damaged digit can ask for a large dataset; that costs time, not coverage
+    assume(spec.num_nodes <= 64 and spec.diffusion_rounds <= 8
+           and spec.num_nodes * spec.total_steps * spec.channels <= 50_000)
+    assert run(argv) == (0, "")
+    expected = spec if spelled is None else spelled
+    assert spec == expected
+    assert kv.read_file(out / "synth-spec.txt") == {
+        name: kv.encode(value) for name, value in dataclasses.asdict(expected).items()}
+    assert np.isfinite(load_flows(out / "flows.txt", load_graph(out / "graph.txt"),
+                                  load_timestamps(out / "timestamps.txt")).flows).all()
+
+
+@st.composite
+def run_config_files(draw):
+    """A valid run config, with the data's two timestamp features."""
+    heads = draw(st.integers(1, 4))
+    fields = {
+        "model.hidden_dim": st.integers(1, 8).map(lambda k: k * heads),
+        "model.heads": st.just(heads), "model.block_order": st.text("ST", min_size=1,
+                                                                    max_size=6),
+        "model.experts": st.integers(1, 8), "model.expert_expansion": st.integers(1, 4),
+        "model.time_dim": st.integers(1, 8), "model.temporal_features": st.just(2),
+        "model.degree_dim": st.integers(1, 8), "model.max_degree": st.integers(0, 20),
+        "model.max_spd": st.integers(0, 10), "model.alpha": st.floats(0.0, 1.0),
+        "model.input_len": st.integers(1, 12), "model.horizon": st.integers(1, 4),
+        "model.channels": st.integers(1, 3), "model.use_time_encoding": st.booleans(),
+        "model.use_degree_encoding": st.booleans(), "model.use_spd_bias": st.booleans(),
+        "model.use_moe": st.booleans(), "model.seed": st.integers(0, 2 ** 32),
+        "train.batch_size": st.integers(1, 64), "train.max_epochs": st.integers(1, 500),
+        "train.patience": st.integers(1, 50), "train.seed": st.integers(0, 2 ** 32),
+        "train.lr": st.floats(0.0, 1.0),
+        "train.lr_decay_factor": st.floats(0.0, 1.0, exclude_min=True),
+        "train.lr_decay_every": st.integers(1, 50), "train.lr_floor": st.floats(0.0, 1.0),
+        "data.threshold": st.floats(-1e6, 1e6),
+    }
+    assert set(fields) == set(RUN_KEYS)
+    values = some_of(draw, fields, {"model.hidden_dim", "model.heads"})
+    mcfg = dataclasses.replace(StgormerConfig(), **{
+        k.partition(".")[2]: v for k, v in values.items() if k.startswith("model.")})
+    tcfg = dataclasses.replace(TrainConfig(), **{
+        k.partition(".")[2]: v for k, v in values.items() if not k.startswith("model.")})
+    resolved = {k: kv.encode(getattr(mcfg if k.startswith("model.") else tcfg,
+                                     k.partition(".")[2])) for k in RUN_KEYS}
+    return draw(kv_text(values)), resolved
+
+
+@FUZZ
+@given(case=files(run_config_files(), KV_ALPHABET))
+def test_run_config_through_train(kv_root, case):
+    content, spelled = case
+    config, out, short = kv_root / "run.txt", kv_root / "train", kv_root / "short"
+    config.write_bytes(content)
+    shutil.rmtree(out, ignore_errors=True)
+    code, err = run(["train", "--config", str(config), "--data", str(short),
+                     "--out", str(out)])
+    try:
+        mcfg, _, resolved = load_run_config(config, [])
+    except ValueError as exc:
+        assert spelled is None
+        assert (code, err) == (2, error_line(str(exc)))
+        assert not out.exists()
+        return
+    if mcfg.temporal_features != 2:
+        assert (code, err) == (2, error_line(
+            f"{short / 'timestamps.txt'}: timestamps carry 2 features per step but "
+            f"the model expects temporal_features={mcfg.temporal_features}"))
+        assert not out.exists()
+        return
+    assert (code, err) == (2, error_line(
+        f"dataset with {SHORT_STEPS} steps is too short for a (7, 1, 2) split"))
+    manifest = kv.read_file(out / "manifest.txt")
+    assert {k: manifest[k] for k in RUN_KEYS} == (resolved if spelled is None else spelled)
+    if spelled is not None:
+        assert resolved == spelled

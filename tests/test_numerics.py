@@ -385,7 +385,11 @@ class TestPrimitiveGradients:
         self.check(lambda a, b: (a @ b).sum(), [(3, 4), (4, 2)])
 
     def test_batched_matmul(self):
-        self.check(lambda a, b: square(a @ b).sum(), [(2, 3, 4), (2, 4, 2)])
+        for shapes in ([(2, 3, 4), (2, 4, 2)], [(2, 3, 4), (4, 2)]):
+            self.check(lambda a, b: square(a @ b).sum(), shapes)
+
+    def test_linear_without_bias(self):
+        self.check(lambda x, w: square(linear(x, w, None)).sum(), [(2, 3, 4), (4, 5)])
 
     def test_reductions(self):
         self.check(lambda a: a.sum(axis=0).mean() + a.mean(axis=(0, 1)).sum(),

@@ -6,7 +6,9 @@ import pytest
 
 from stgormer.data import (FlowDataset, SyntheticSpec, fit_normalizer, make_windows,
                            metrics, split, synthesize)
-from stgormer.model import StgormerConfig, build, load_model, save_model
+from stgormer.model import StgormerConfig, build, load_model, loss, save_model
+from stgormer.moe import ExpertParams, RouterParams, load_balance_loss, moe_forward
+from stgormer.numerics import AdamState, Tensor, adam_step, backward
 from stgormer.train import (DivergenceError, TrainConfig, evaluate, study,
                             study_variants, train_loop)
 
@@ -166,6 +168,56 @@ class TestTrainLoop:
                    tiny_train_config(max_epochs=1,
                                      checkpoint_dir=str(tmp_path / "run")))
         assert (tmp_path / "run" / "model.ckpt").is_file()
+
+
+class TestGradientsNeverWrittenInPlace:
+    """Every ndarray handed to ``Tensor._accumulate`` is marked read-only, so
+    any later write into it, by the engine or the optimizer, raises."""
+
+    @pytest.fixture(autouse=True)
+    def read_only_gradients(self, monkeypatch):
+        accumulate = Tensor._accumulate
+
+        def guarded(node, g, *args, **kwargs):
+            if isinstance(g, np.ndarray):
+                g.flags.writeable = False
+            accumulate(node, g, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "_accumulate", guarded)
+
+    def test_train_steps(self):
+        cfg = tiny_model_config()
+        graph = tiny_dataset().graph
+        model = build(cfg, graph)
+        before = model.store.snapshot()
+        opt = AdamState()
+        rng = np.random.default_rng(6)
+        for _ in range(2):
+            xs = rng.normal(size=(4, cfg.input_len, graph.num_nodes, 1))
+            tss = rng.uniform(0.0, 1.0, size=(4, cfg.input_len, cfg.temporal_features))
+            ys = rng.normal(size=(4, cfg.horizon, graph.num_nodes, 1))
+            pred, usage = model.forward_batch(xs, tss)
+            total, _ = loss(pred, ys, usage, cfg.alpha)
+            backward(total, model.store)
+            adam_step(model.store, opt)
+        assert opt.step_count == 2
+        assert any(not np.array_equal(t.data, before[p]) for p, t in model.store.items())
+
+    def test_clone_expert_mixture(self):
+        rng = np.random.default_rng(63)
+
+        def param(*shape):
+            return Tensor(rng.normal(size=shape), requires_grad=True)
+
+        shared = ExpertParams(param(3, 5), param(5), param(5, 3), param(3))
+        other = ExpertParams(param(3, 5), param(5), param(5, 3), param(3))
+        experts = [shared, other, shared,
+                   ExpertParams(shared.w1, other.b1, shared.w2, other.b2)]
+        x = param(2, 4, 3)
+        out, usage = moe_forward(x, experts, RouterParams(param(3, 4), param(4)))
+        ((out * out).mean() + load_balance_loss(usage)).backward()
+        for t in (x, shared.w1, shared.w2, other.b1, other.b2):
+            assert t.grad.shape == t.data.shape and np.isfinite(t.grad).all()
 
 
 class TestEvaluate:
