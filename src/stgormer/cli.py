@@ -111,12 +111,18 @@ def load_data_dir(data_dir) -> FlowDataset:
     return load_flows(data_dir / "flows.txt", graph, timestamps)
 
 
-def check_timestamp_features(path, timestamps, config: StgormerConfig) -> None:
-    """Reject a timestamps file whose per-step feature count is not the model's."""
-    if timestamps.shape[1] != config.temporal_features:
+def check_model_inputs(flows_path, timestamps_path, ds: FlowDataset,
+                       config: StgormerConfig) -> None:
+    """Reject a flow file whose channel count, or a timestamps file whose
+    per-step feature count, is not the model's, naming the file."""
+    if ds.num_channels != config.channels:
         raise ValueError(
-            f"{path}: timestamps carry {timestamps.shape[1]} features per step but "
-            f"the model expects temporal_features={config.temporal_features}")
+            f"{flows_path}: flows carry {ds.num_channels} channels but the model "
+            f"expects channels={config.channels}")
+    if ds.timestamps.shape[1] != config.temporal_features:
+        raise ValueError(
+            f"{timestamps_path}: timestamps carry {ds.timestamps.shape[1]} features per "
+            f"step but the model expects temporal_features={config.temporal_features}")
 
 
 def _now() -> str:
@@ -172,12 +178,13 @@ def cmd_synth(args) -> int:
 
 def cmd_train(args) -> int:
     mcfg, tcfg, resolved = load_run_config(args.config, args.override)
-    ds = load_data_dir(args.data)
-    check_timestamp_features(Path(args.data) / "timestamps.txt", ds.timestamps, mcfg)
+    data = Path(args.data)
+    ds = load_data_dir(data)
+    check_model_inputs(data / "flows.txt", data / "timestamps.txt", ds, mcfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / "manifest.txt"
-    write_manifest(manifest_path, resolved, {"data_dir": str(Path(args.data))})
+    write_manifest(manifest_path, resolved, {"data_dir": str(data)})
     train_ds, val_ds, _ = split(ds)
     model = build(mcfg, ds.graph)
     tcfg = dataclasses.replace(tcfg, checkpoint_dir=str(out))
@@ -216,12 +223,12 @@ def graph_mismatch(trained: SpatioTemporalGraph, data: SpatioTemporalGraph) -> s
 
 def cmd_eval(args) -> int:
     model = load_model(args.checkpoint)
-    ds = load_data_dir(args.data)
+    data = Path(args.data)
+    ds = load_data_dir(data)
     mismatch = graph_mismatch(model.graph, ds.graph)
     if mismatch:
         raise ValueError(f"graph mismatch: {mismatch}")
-    check_timestamp_features(Path(args.data) / "timestamps.txt", ds.timestamps,
-                             model.config)
+    check_model_inputs(data / "flows.txt", data / "timestamps.txt", ds, model.config)
     piece = _split_by_name(ds, args.split)
     report = evaluate(model, piece, args.threshold)
     out = Path(args.out) if args.out else Path(f"eval_{args.split}.txt")
@@ -240,7 +247,7 @@ def cmd_predict(args) -> int:
         raise ValueError(
             f"window carries {window.num_steps} steps but the model expects "
             f"input_len={model.config.input_len}")
-    check_timestamp_features(args.timestamps, window.timestamps, model.config)
+    check_model_inputs(args.window, args.timestamps, window, model.config)
     forecast = model.predict(window.flows, window.timestamps)
     write_flow_tensor(args.out, forecast)
     print(f"forecast written to {args.out}")
@@ -269,8 +276,9 @@ def cmd_encode(args) -> int:
 
 def cmd_study(args) -> int:
     mcfg, tcfg, _ = load_run_config(args.config, args.override)
-    ds = load_data_dir(args.data)
-    check_timestamp_features(Path(args.data) / "timestamps.txt", ds.timestamps, mcfg)
+    data = Path(args.data)
+    ds = load_data_dir(data)
+    check_model_inputs(data / "flows.txt", data / "timestamps.txt", ds, mcfg)
     rows = study(mcfg, tcfg, ds, args.axis)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)

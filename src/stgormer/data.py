@@ -217,11 +217,18 @@ def synthesize(spec: SyntheticSpec) -> FlowDataset:
     """Generate a seeded synthetic dataset with daily and weekly seasonality."""
     spec.validate()
     graph = random_graph(spec.num_nodes, spec.edge_prob, spec.seed, directed=True)
-    signal = _noiseless_signal(spec, graph)
-    if spec.noise_std > 0:
-        # separate stream so graph/parameter draws stay stable across noise levels
-        noise_rng = np.random.default_rng((spec.seed, 1))
-        signal = signal + noise_rng.normal(0.0, spec.noise_std, size=signal.shape)
+    # finite knobs can still overflow: reported below, as the flow reader
+    # rejects what is not finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        signal = _noiseless_signal(spec, graph)
+        if spec.noise_std > 0:
+            # separate stream so graph/parameter draws stay stable across noise levels
+            noise_rng = np.random.default_rng((spec.seed, 1))
+            signal = signal + noise_rng.normal(0.0, spec.noise_std, size=signal.shape)
+    bad = int(np.count_nonzero(~np.isfinite(signal)))
+    if bad:
+        raise ValueError(f"spec gives a non-finite signal in {bad} of {signal.size} "
+                         "cells: base_flow, amplitude_range or noise_std is too large")
     ts = step_timestamps(spec.total_steps, spec.daily_period)
     return FlowDataset(signal, ts, graph)
 

@@ -284,18 +284,22 @@ class StgormerModel:
         bias = (spd_bias(self.spd, self.spd_table, cfg.max_spd)
                 if cfg.use_spd_bias else None)
         usage = []
+        # Each activation is dropped as soon as it is consumed: without a
+        # graph (inference) that frees it before the next one is made.
         for block in self.blocks:
             if block.axis == "S":
                 attended = spatial_attention(h, block.attn, bias)
             else:
                 attended = temporal_attention(h, block.attn)
-            u = layer_norm(h + attended, block.norm1_gamma, block.norm1_beta)
+            h = layer_norm(h + attended, block.norm1_gamma, block.norm1_beta)
+            del attended
             if block.router is not None:
-                f, block_usage = moe_forward(u, block.experts, block.router)
+                f, block_usage = moe_forward(h, block.experts, block.router)
                 usage.append(block_usage)
             else:
-                f = expert_forward(u, block.experts[0])
-            h = layer_norm(u + f, block.norm2_gamma, block.norm2_beta)
+                f = expert_forward(h, block.experts[0])
+            h = layer_norm(h + f, block.norm2_gamma, block.norm2_beta)
+            del f
 
         per_node = h.transpose(0, 2, 1, 3).reshape(b, n, t * cfg.hidden_dim)
         out = linear(per_node, self.head_w, self.head_b)

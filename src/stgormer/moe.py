@@ -3,21 +3,35 @@
 Routing is dense: every expert runs on every token and outputs are combined
 with the gate's softmax weights, so the balance loss stays differentiable.
 The experts run as one stacked primitive (:func:`dense_mixture`) over row
-blocks of tokens; their parameters stay separate tensors and are stacked on
-every call.
+blocks of tokens, split into lanes that run on two threads; their parameters
+stay separate tensors and are stacked on every call.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .numerics import Tensor, linear, softmax
 
-# Tokens per row block of dense_mixture. At the default width (6 experts of
-# 256) a 128-token block's hidden layer is 1.5 MiB, within a 2 MiB per-core
-# L2 cache; on a 2-core host, 128 beat 64 and 256 on a default training step.
-_CHUNK = 128
+# Hidden-layer bytes per row block of dense_mixture: 128 tokens at the default
+# width (6 experts of 256), within a 2 MiB per-core L2 cache. On a 2-core host
+# 128 rows beat 64 and 256 on a default training step; at small widths the
+# larger blocks keep the per-block overhead down.
+_BLOCK_BYTES = 3 << 19
+
+# Lanes of dense_mixture: contiguous runs of whole blocks. Lane 0 runs in the
+# calling thread and the others on _POOL; numpy releases the GIL in matmul and
+# the ufuncs, and each BLAS call stays on one thread. A constant rather than
+# the core count, so the split, and with it the bits, depends only on the
+# token count. The pool starts its thread on first use, not on import.
+_LANES = 2
+# Blocks a lane needs at least. A call of a few blocks (batch-1 inference)
+# lasts a few ms, and waiting there for a second core that the host has
+# descheduled for a while costs more than the lane saves.
+_LANE_BLOCKS = 2
+_POOL = ThreadPoolExecutor(max_workers=_LANES - 1, thread_name_prefix="moe-lane")
 
 
 @dataclass
@@ -47,9 +61,26 @@ def gate(x: Tensor, router: RouterParams) -> Tensor:
     return softmax(linear(x, router.w, router.b), axis=-1)
 
 
-def _with_ones(a: np.ndarray) -> np.ndarray:
-    """``a`` with a column of ones appended, which multiplies a bias row."""
-    return np.concatenate([a, np.ones((len(a), 1))], axis=1)
+def _lanes(tokens: int, block: int) -> list[list[slice]]:
+    """Row blocks of ``block`` tokens, dealt into at most ``_LANES`` contiguous
+    lanes of at least ``_LANE_BLOCKS`` whole blocks, or into one lane."""
+    blocks = [slice(start, min(start + block, tokens)) for start in range(0, tokens, block)]
+    count = max(1, min(_LANES, len(blocks) // _LANE_BLOCKS))
+    cuts = [len(blocks) * i // count for i in range(count + 1)]
+    return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _in_lanes(run, work: list[tuple]) -> list:
+    """``run(*work[i])`` for every lane i, lane 0 in this thread and the rest on
+    ``_POOL``. Returns once every lane has finished, also when one raises:
+    the results in lane order, or the first failure in lane order."""
+    futures = [_POOL.submit(run, *args) for args in work[1:]]
+    try:
+        first = run(*work[0])
+    finally:
+        for future in futures:
+            future.exception()  # waits for the lane; its failure is raised below
+    return [first] + [future.result() for future in futures]
 
 
 def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Tensor:
@@ -58,10 +89,12 @@ def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Te
     The E experts' parameters are stacked into W1 (D+1, E*H), whose last row
     is b1, W2 (E*H, D) and B2 (E, D). Forward: relu([x 1] W1), each H-wide
     slice scaled by the token's gate weight, times W2, plus weights @ B2.
-    Tokens run in row blocks of ``_CHUNK`` so that a block's hidden layer
-    stays in cache. The hidden layer is not kept: the closed-form backward
-    recomputes it block by block, sums the stacked parameter gradients over
-    the blocks and slices them back to each expert.
+    Tokens run in row blocks of about ``_BLOCK_BYTES`` of hidden layer, so
+    that a block's hidden layer stays in cache, and the blocks run in lanes
+    (:func:`_lanes`) that each write only their own rows. The hidden layer
+    is not kept: the closed-form backward recomputes it block by block; each
+    lane sums its own stacked parameter gradients, the lanes' sums are added
+    in lane order and sliced back to each expert.
     """
     n_exp = len(experts)
     if weights.shape != x.shape[:-1] + (n_exp,):
@@ -73,12 +106,28 @@ def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Te
     w1 = np.concatenate([np.vstack([e.w1.data, e.b1.data]) for e in experts], axis=1)
     w2 = np.concatenate([e.w2.data for e in experts], axis=0)
     b2 = np.stack([e.b2.data for e in experts])
-    blocks = [slice(start, start + _CHUNK) for start in range(0, len(x2), _CHUNK)]
-    block_shape = (min(_CHUNK, len(x2)), n_exp * hid)
+    block = max(1, _BLOCK_BYTES // (8 * n_exp * hid))
+    lanes = _lanes(len(x2), block)
 
-    def hidden(block: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    def buffers(blocks: list[slice], hidden_count: int) -> list[np.ndarray]:
+        """A lane's [x 1] block buffer and ``hidden_count`` hidden-layer ones,
+        sized to its first block, which is its largest. Each lane's buffers
+        are made in the calling thread: a worker thread allocates from its own
+        malloc arena, which cannot reuse the memory this thread has freed."""
+        rows = blocks[0].stop - blocks[0].start if blocks else 0
+        x1 = np.empty((rows, width + 1))
+        x1[:, width] = 1.0
+        return [x1] + [np.empty((rows, n_exp * hid)) for _ in range(hidden_count)]
+
+    def load(buf: np.ndarray, rows: slice) -> np.ndarray:
+        """[x 1] for one block of rows, written into the lane's buffer."""
+        x1 = buf[:rows.stop - rows.start]
+        x1[:, :width] = x2[rows]
+        return x1
+
+    def hidden(x1: np.ndarray, buf: np.ndarray) -> np.ndarray:
         """relu([x 1] W1) for one block of rows of [x 1], written into ``buf``."""
-        h = np.matmul(block, w1, out=buf[:len(block)])
+        h = np.matmul(x1, w1, out=buf[:len(x1)])
         return np.maximum(h, 0.0, out=h)
 
     def scale(a: np.ndarray, rows: slice) -> None:
@@ -86,35 +135,49 @@ def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Te
         a3 = a.reshape(len(a), n_exp, hid)
         a3 *= gw[rows, :, None]
 
-    x1 = _with_ones(x2)
     out = np.empty_like(x2)
-    buf = np.empty(block_shape)
-    for rows in blocks:
-        h = hidden(x1[rows], buf)
-        scale(h, rows)
-        np.matmul(h, w2, out=out[rows])
+
+    def forward_lane(blocks: list[slice], x1_buf: np.ndarray, h_buf: np.ndarray) -> None:
+        for rows in blocks:
+            h = hidden(load(x1_buf, rows), h_buf)
+            scale(h, rows)
+            np.matmul(h, w2, out=out[rows])
+
+    _in_lanes(forward_lane, [(blocks, *buffers(blocks, 1)) for blocks in lanes])
     out += gw @ b2
 
     def back(g: np.ndarray) -> None:
         g2 = g.reshape(-1, width)
-        x1 = _with_ones(x2)
         d_gw = np.empty_like(gw) if weights.requires_grad else None
         dx = np.empty_like(x2) if x.requires_grad else None
-        dw1, dw2 = np.zeros_like(w1), np.zeros_like(w2)
-        h_buf, d_buf = np.empty(block_shape), np.empty(block_shape)
-        for rows in blocks:
-            h = hidden(x1[rows], h_buf)
-            d = np.matmul(g2[rows], w2.T, out=d_buf[:len(h)])
-            if d_gw is not None:
-                d_gw[rows] = np.einsum("teh,teh->te", d.reshape(len(d), n_exp, hid),
-                                       h.reshape(len(h), n_exp, hid))
-            d *= h > 0
-            scale(d, rows)
-            scale(h, rows)
-            dw2 += h.T @ g2[rows]
-            if dx is not None:
-                np.matmul(d, w1[:width].T, out=dx[rows])
-            dw1 += x1[rows].T @ d
+
+        def backward_lane(blocks: list[slice], x1_buf: np.ndarray, h_buf: np.ndarray,
+                          d_buf: np.ndarray, dw1: np.ndarray, dw2: np.ndarray,
+                          part1: np.ndarray, part2: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+            for rows in blocks:
+                x1 = load(x1_buf, rows)
+                h = hidden(x1, h_buf)
+                d = np.matmul(g2[rows], w2.T, out=d_buf[:len(h)])
+                if d_gw is not None:
+                    np.einsum("teh,teh->te", d.reshape(len(d), n_exp, hid),
+                              h.reshape(len(h), n_exp, hid), out=d_gw[rows])
+                d *= h > 0
+                scale(d, rows)
+                scale(h, rows)
+                dw2 += np.matmul(h.T, g2[rows], out=part2)
+                if dx is not None:
+                    np.matmul(d, w1[:width].T, out=dx[rows])
+                dw1 += np.matmul(x1.T, d, out=part1)
+            return dw1, dw2
+
+        sums = _in_lanes(backward_lane, [
+            (blocks, *buffers(blocks, 2), np.zeros_like(w1), np.zeros_like(w2),
+             np.empty_like(w1), np.empty_like(w2)) for blocks in lanes])
+        dw1, dw2 = sums[0]
+        for lane_dw1, lane_dw2 in sums[1:]:
+            dw1 += lane_dw1
+            dw2 += lane_dw2
         if d_gw is not None:
             d_gw += g2 @ b2.T
             weights._accumulate(d_gw.reshape(weights.shape))

@@ -1,5 +1,6 @@
 import hashlib
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -108,6 +109,19 @@ class TestSynth:
         assert code == 2
         err = capsys.readouterr().err
         assert "'noise_std'" in err and "finite" in err
+        assert not (tmp_path / "d").exists()
+
+
+    def test_overflowing_signal_rejected(self, tmp_path, capsys):
+        # finite knobs whose signal overflows: each value passes the codec
+        spec = tmp_path / "huge.txt"
+        spec.write_text("base_flow=1e308\namplitude_range=1e308,1.5e308\n"
+                        "weekly_amplitude_range=0.9,0.9\ntotal_steps=40\n")
+        code = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert re.fullmatch(r"error: spec gives a non-finite signal in \d+ of 480 cells: "
+                            r"base_flow, amplitude_range or noise_std is too large\n", err)
         assert not (tmp_path / "d").exists()
 
 
@@ -446,6 +460,46 @@ class TestTimestampFeatures:
         assert capsys.readouterr().err == (
             f"error: {named}: timestamps carry 1 features per step but the model "
             "expects temporal_features=2\n")
+        assert not out.exists()
+
+
+class TestFlowChannels:
+    """A flow file whose channel count is not the model's, named before any
+    output is written."""
+
+    @pytest.mark.parametrize("command", ["train", "study", "eval", "predict"])
+    def test_channel_count_checked_against_model(self, workspace, capsys, command):
+        data, out = workspace / "data", workspace / "out"
+        flows_path = data / "flows.txt"
+        ds = load_flows(flows_path, load_graph(data / "graph.txt"),
+                        load_timestamps(data / "timestamps.txt"))
+        window, window_ts = workspace / "window.txt", workspace / "window_ts.txt"
+        save_timestamps(window_ts, ds.timestamps[:6])
+        # train and study: one-channel data for a two-channel model;
+        # eval and predict: a one-channel checkpoint, then two-channel data
+        trained = command in ("eval", "predict")
+        ckpt = train_run(workspace) / "model.ckpt" if trained else None
+        two = np.concatenate([ds.flows, ds.flows], axis=2)
+        if trained:
+            write_flow_tensor(flows_path, two)
+        write_flow_tensor(window, two[:6])
+        have, want = (2, 1) if trained else (1, 2)
+        override = ["--override", "model.channels=2"]
+        argv = {
+            "train": ["train", "--config", str(workspace / "run.txt"),
+                      "--data", str(data), "--out", str(out)] + override,
+            "study": ["study", "--config", str(workspace / "run.txt"), "--data", str(data),
+                      "--axis", "ablation", "--out", str(out / "study.csv")] + override,
+            "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--out", str(out / "report.txt")],
+            "predict": ["predict", "--checkpoint", str(ckpt), "--window", str(window),
+                        "--timestamps", str(window_ts), "--out", str(out / "f.txt")],
+        }[command]
+        assert main(argv) == 2
+        named = window if command == "predict" else flows_path
+        assert capsys.readouterr().err == (
+            f"error: {named}: flows carry {have} channels but the model "
+            f"expects channels={want}\n")
         assert not out.exists()
 
 

@@ -1,5 +1,6 @@
-"""Fuzz the graph, flow and timestamp readers and the key=value files
-(``synth --spec``, ``train --config``) through ``stgormer.cli.main``.
+"""Fuzz the graph, flow and timestamp readers, the key=value files
+(``synth --spec``, ``train --config``) and ``train --override`` values
+through ``stgormer.cli.main``.
 
 Each generated file is either a valid serialization in some spelling (which
 must parse to exactly the generated values and give the same output as the
@@ -353,8 +354,9 @@ def test_spec_through_synth(kv_root, case):
 
 
 @st.composite
-def run_config_files(draw):
-    """A valid run config, with the data's two timestamp features."""
+def run_config_values(draw):
+    """Values for a drawn subset of the run keys that make a valid run config
+    with the data's two timestamp features, and every key's resolved value."""
     heads = draw(st.integers(1, 4))
     fields = {
         "model.hidden_dim": st.integers(1, 8).map(lambda k: k * heads),
@@ -383,23 +385,36 @@ def run_config_files(draw):
         k.partition(".")[2]: v for k, v in values.items() if not k.startswith("model.")})
     resolved = {k: kv.encode(getattr(mcfg if k.startswith("model.") else tcfg,
                                      k.partition(".")[2])) for k in RUN_KEYS}
+    return values, resolved
+
+
+@st.composite
+def run_config_files(draw):
+    """A valid run config file and every key's resolved value."""
+    values, resolved = draw(run_config_values())
     return draw(kv_text(values)), resolved
 
 
-@FUZZ
-@given(case=files(run_config_files(), KV_ALPHABET))
-def test_run_config_through_train(kv_root, case):
-    content, spelled = case
-    config, out, short = kv_root / "run.txt", kv_root / "train", kv_root / "short"
-    config.write_bytes(content)
+def check_train(kv_root, argv: list[str], config, overrides: list[str], spelled) -> None:
+    """``train`` on the short data directory with ``argv`` added, against
+    ``load_run_config(config, overrides)``: its error, else the data checks,
+    else a manifest holding exactly the resolved run keys, which are
+    ``spelled`` when the values were spelled validly. No run trains: the
+    data is too short to split."""
+    out, short = kv_root / "train", kv_root / "short"
     shutil.rmtree(out, ignore_errors=True)
-    code, err = run(["train", "--config", str(config), "--data", str(short),
-                     "--out", str(out)])
+    code, err = run(["train", "--data", str(short), "--out", str(out)] + argv)
     try:
-        mcfg, _, resolved = load_run_config(config, [])
+        mcfg, _, resolved = load_run_config(config, overrides)
     except ValueError as exc:
         assert spelled is None
         assert (code, err) == (2, error_line(str(exc)))
+        assert not out.exists()
+        return
+    if mcfg.channels != 1:
+        assert (code, err) == (2, error_line(
+            f"{short / 'flows.txt'}: flows carry 1 channels but the model "
+            f"expects channels={mcfg.channels}"))
         assert not out.exists()
         return
     if mcfg.temporal_features != 2:
@@ -414,3 +429,51 @@ def test_run_config_through_train(kv_root, case):
     assert {k: manifest[k] for k in RUN_KEYS} == (resolved if spelled is None else spelled)
     if spelled is not None:
         assert resolved == spelled
+
+
+@FUZZ
+@given(case=files(run_config_files(), KV_ALPHABET))
+def test_run_config_through_train(kv_root, case):
+    content, spelled = case
+    config = kv_root / "run.txt"
+    config.write_bytes(content)
+    check_train(kv_root, ["--config", str(config)], config, [], spelled)
+
+
+@st.composite
+def override_args(draw):
+    """``--override`` values for a valid run config: each key dotted or, when
+    its field name names only that key, bare; padding around key, '=' and value."""
+    values, resolved = draw(run_config_values())
+    args = []
+    for key in draw(st.permutations(sorted(values))):
+        name = key.partition(".")[2]
+        bare = [k for k in RUN_KEYS if k.partition(".")[2] == name] == [key]
+        spelled_key = name if bare and draw(st.booleans()) else key
+        pad = draw(st.sampled_from(("", " ", "\t")))
+        args.append(f"{pad}{spelled_key}{pad}={pad}{spell(draw, values[key])}{pad}")
+    return args, resolved
+
+
+def overrides(valid: st.SearchStrategy) -> st.SearchStrategy:
+    """(override values, what they spell or None): valid, one of them with a
+    few bytes replaced, inserted or deleted, or arbitrary text."""
+
+    @st.composite
+    def damaged(draw):
+        args, _ = draw(valid)
+        args = args or [""]
+        i = draw(st.integers(0, len(args) - 1))
+        args[i] = draw(mutated(args[i].encode())).decode("latin-1")
+        return args, None
+
+    arbitrary = st.lists(st.text(KV_ALPHABET.replace("\n", ""), max_size=30),
+                         min_size=1, max_size=3)
+    return st.one_of(valid, damaged(), arbitrary.map(lambda args: (args, None)))
+
+
+@FUZZ
+@given(case=overrides(override_args()))
+def test_overrides_through_train(kv_root, case):
+    args, spelled = case
+    check_train(kv_root, [f"--override={arg}" for arg in args], None, args, spelled)

@@ -1,11 +1,16 @@
+import sys
+import threading
+import time
 import tracemalloc
+from concurrent.futures import Future, ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stgormer.moe import (_CHUNK, ExpertParams, RouterParams, dense_mixture,
+from stgormer import moe
+from stgormer.moe import (_BLOCK_BYTES, ExpertParams, RouterParams, _lanes, dense_mixture,
                           expert_forward, gate, load_balance_loss, moe_forward)
 from stgormer.numerics import ParameterStore, Tensor, finite_difference_check
 
@@ -125,7 +130,7 @@ def loop_mixture(x, weights, experts):
 class TestDenseMixture:
     @pytest.mark.parametrize("lead,width,hidden,count",
                              [((5,), 4, 8, 1), ((2, 3), 4, 6, 3), ((2, 3, 2), 5, 7, 4),
-                              ((3, 100), 5, 7, 3)])
+                              ((3, 100), 5, 7, 3), ((2, 250), 4, 512, 3)])
     def test_matches_per_expert_loop(self, lead, width, hidden, count):
         rng = np.random.default_rng(62)
         experts = [make_expert(rng, width, hidden) for _ in range(count)]
@@ -155,8 +160,11 @@ class TestDenseMixture:
     def test_gradients_across_token_blocks(self):
         rng = np.random.default_rng(67)
         store = ParameterStore()
-        tokens = 2 * _CHUNK + 9
-        experts = [make_expert(rng, 3, 5, store, f"e{i}") for i in range(3)]
+        # 128-token blocks (128, 128, 128, 128, 9) in two lanes: [0, 1] and [2, 3, 4]
+        block = _BLOCK_BYTES // (8 * 3 * 512)
+        tokens = 4 * block + 9
+        assert [len(lane) for lane in _lanes(tokens, block)] == [2, 3]
+        experts = [make_expert(rng, 3, 512, store, f"e{i}") for i in range(3)]
         router = make_router(rng, 3, 3, store)
         x = store.add("x", rng.normal(size=(tokens, 3)))
         target = rng.normal(size=(tokens, 3))
@@ -166,7 +174,10 @@ class TestDenseMixture:
             diff = out - Tensor(target)
             return (diff * diff).mean() + 0.1 * load_balance_loss(usage)
 
-        assert finite_difference_check(fwd, store, max_coords=300) < 1e-4
+        # a step of 1e-5 moves a coordinate of x across a relu kink (5e-3, the
+        # same in a one-lane run); at 1e-6 round-off on the smallest gradients
+        # reaches 8e-5; 3e-6 gives 9e-6
+        assert finite_difference_check(fwd, store, step=3e-6, max_coords=300) < 1e-4
 
     def test_forward_keeps_no_hidden_layer(self):
         rng = np.random.default_rng(68)
@@ -230,6 +241,171 @@ class TestDenseMixture:
         router = make_router(rng, 4, 3)
         with pytest.raises(ValueError, match="2 experts"):
             moe_forward(Tensor(rng.normal(size=(3, 4))), experts, router)
+
+
+class _InlinePool:
+    """Runs each lane as it is submitted, so lane 1 runs before lane 0."""
+
+    def submit(self, fn, *args):
+        future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class _DeferredPool:
+    """Holds the lanes back until the caller first waits on one (after lane 0
+    has run), then runs every held lane in reverse order of submission."""
+
+    def __init__(self):
+        self.held = []
+
+    def submit(self, fn, *args):
+        pool = self
+
+        class Deferred(Future):
+            def exception(self, timeout=None):
+                pool.run_held()
+                return super().exception(timeout)
+
+            def result(self, timeout=None):
+                pool.run_held()
+                return super().result(timeout)
+
+        future = Deferred()
+        self.held.append((future, fn, args))
+        return future
+
+    def run_held(self):
+        while self.held:
+            future, fn, args = self.held.pop()
+            try:
+                future.set_result(fn(*args))
+            except Exception as exc:
+                future.set_exception(exc)
+
+
+class _LatePool:
+    """A real one-thread pool whose lanes start 0.2 s late; keeps each future."""
+
+    def __init__(self):
+        self.pool = ThreadPoolExecutor(max_workers=1)
+        self.futures = []
+
+    def submit(self, fn, *args):
+        def late():
+            time.sleep(0.2)
+            return fn(*args)
+
+        future = self.pool.submit(late)
+        self.futures.append(future)
+        return future
+
+
+class _FailingNumpy:
+    """numpy, except that ``matmul`` raises in the lane that runs on the
+    main thread (``caller``) or on any other (``worker``)."""
+
+    def __init__(self, failing_lane):
+        self.failing_lane = failing_lane
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, *args, **kwargs):
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main == (self.failing_lane == "caller"):
+            raise FloatingPointError(f"{self.failing_lane} lane failed")
+        return np.matmul(*args, **kwargs)
+
+
+class TestLanes:
+    """dense_mixture's token blocks run in two lanes on two threads."""
+
+    # 3 experts of 512: 128-token blocks; 600 tokens are 5 blocks, lanes [0, 1], [2, 3, 4]
+    LEAD, WIDTH, HIDDEN, COUNT = (2, 300), 4, 512, 3
+
+    def run(self, lead=LEAD):
+        """Forward output, then the gradients of x, the gate weights and
+        each expert parameter, of one mixture."""
+        rng = np.random.default_rng(69)
+        experts = [make_expert(rng, self.WIDTH, self.HIDDEN) for _ in range(self.COUNT)]
+        params = [t for e in experts for t in (e.w1, e.b1, e.w2, e.b2)]
+        for t in params:
+            t.requires_grad = True
+        x = Tensor(rng.normal(size=lead + (self.WIDTH,)), requires_grad=True)
+        weights = Tensor(rng.dirichlet(np.ones(self.COUNT), size=lead), requires_grad=True)
+        target = Tensor(rng.normal(size=x.shape))
+        out = dense_mixture(x, weights, experts)
+        diff = out - target
+        (diff * diff).sum().backward()
+        return [out.data] + [t.grad for t in [x, weights] + params]
+
+    def test_split_into_contiguous_lanes_of_whole_blocks(self):
+        blocks = [slice(start, start + 128) for start in range(0, 640, 128)]
+        assert _lanes(600, 128) == [blocks[:2], blocks[2:4] + [slice(512, 600)]]
+        assert _lanes(512, 128) == [blocks[:2], blocks[2:4]]
+        assert _lanes(384, 128) == [blocks[:3]]  # too few blocks for two lanes
+        assert _lanes(100, 128) == [[slice(0, 100)]]
+        assert _lanes(0, 1) == [[]]
+
+    def test_bits_do_not_depend_on_lane_order(self, monkeypatch):
+        threaded = self.run()
+        for pool in (_InlinePool(), _DeferredPool()):
+            monkeypatch.setattr(moe, "_POOL", pool)
+            ordered = self.run()
+            for got, want in zip(ordered, threaded):
+                assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def assert_matches_one_lane(got, one):
+        for i in (0, 1, 2):  # out, dx, d_gw: each lane writes its own rows
+            assert got[i].tobytes() == one[i].tobytes()
+        for g, want in zip(got[3:], one[3:]):  # sums over the blocks
+            assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_forward_is_bitwise_the_one_lane_run(self, monkeypatch):
+        two = self.run()
+        monkeypatch.setattr(moe, "_LANES", 1)
+        self.assert_matches_one_lane(two, self.run())
+
+    def test_many_lanes_under_fast_thread_switching(self, monkeypatch):
+        # 19 blocks in 8 lanes on 7 workers, more threads than cores, with the
+        # interpreter switching threads as often as it can: a row lost or
+        # written by the wrong lane would break the bitwise match
+        lead = (8, 300)
+        monkeypatch.setattr(moe, "_LANES", 1)
+        one = self.run(lead)
+        pool = ThreadPoolExecutor(max_workers=7)
+        monkeypatch.setattr(moe, "_LANES", 8)
+        monkeypatch.setattr(moe, "_POOL", pool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = self.run(lead)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=True)
+        self.assert_matches_one_lane(many, one)
+
+    @pytest.mark.parametrize("failing_lane", ["caller", "worker"])
+    def test_failure_propagates_after_every_lane_finished(self, monkeypatch, failing_lane):
+        rng = np.random.default_rng(70)
+        experts = [make_expert(rng, self.WIDTH, self.HIDDEN) for _ in range(self.COUNT)]
+        x = Tensor(rng.normal(size=self.LEAD + (self.WIDTH,)))
+        weights = Tensor(rng.dirichlet(np.ones(self.COUNT), size=self.LEAD))
+        pool = _LatePool()
+        monkeypatch.setattr(moe, "_POOL", pool)
+        monkeypatch.setattr(moe, "np", _FailingNumpy(failing_lane))
+        try:
+            with pytest.raises(FloatingPointError, match=f"{failing_lane} lane failed"):
+                dense_mixture(x, weights, experts)
+            assert len(pool.futures) == 1
+            assert all(f.done() for f in pool.futures)
+        finally:
+            pool.pool.shutdown(wait=True)
 
 
 class TestLoadBalanceLoss:
