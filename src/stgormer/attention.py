@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import SpdMatrix, UNREACHABLE
-from .numerics import Tensor, gather_rows, linear, softmax
+from .numerics import _BLOCK_ROWS, Tensor, _add_lanes, _in_lanes, _lanes, gather_rows
 
 
 @dataclass
@@ -51,12 +51,25 @@ def spd_bias(spd: SpdMatrix, table: Tensor, max_spd: int) -> Tensor:
 
 def scaled_dot_attention(x: Tensor, params: AttentionParams,
                          bias: Tensor | None = None) -> Tensor:
-    """Multi-head attention over (batch, length, width) input.
+    """Multi-head attention along axis 1 of (batch, length, width) input, or of
+    (batch, length, nodes, width) input separately for each node, as one
+    graph node.
 
     Scores are q k^T / sqrt(head_width); ``bias`` (length x length) is added
-    after scaling and broadcast over batch and heads.
+    after scaling and broadcast over sequences and heads. Q, K and V come from
+    one GEMM against [W_q W_k W_v], stacked on every call. Whole sequences run
+    in blocks of about ``_BLOCK_ROWS`` rows, dealt into lanes
+    (:func:`numerics._lanes`) that each write only their own sequences. The
+    node keeps only its input and the attention probabilities: the
+    closed-form backward recomputes q, k, v and the merged heads block by
+    block, each lane sums its own weight and bias gradients, and the lanes'
+    sums are added in lane order.
     """
-    m, length, width = x.shape
+    if x.data.ndim not in (3, 4):
+        raise ValueError(f"attention input must be 3-D or 4-D, got shape {x.shape}")
+    # (sequences, length, nodes, width): the sequence of (p, q) is x4[p, :, q]
+    x4 = x.data.reshape(x.shape[:2] + (-1, x.shape[-1]))
+    count, length, nodes, width = x4.shape
     h = params.heads
     if width % h:
         raise ValueError(f"width {width} not divisible by {h} heads")
@@ -64,39 +77,113 @@ def scaled_dot_attention(x: Tensor, params: AttentionParams,
     if bias is not None and bias.shape != (length, length):
         raise ValueError(
             f"bias shape {bias.shape} does not match sequence length {length}")
+    w_qkv = np.concatenate([params.w_q.data, params.w_k.data, params.w_v.data], axis=1)
+    b_qkv = np.concatenate([params.b_q.data, np.zeros(width), params.b_v.data])
+    w_o = params.w_o.data
+    scale = 1.0 / np.sqrt(dh)
+    lanes = _lanes(count, max(1, _BLOCK_ROWS // (length * nodes)))
 
-    def split_heads(t: Tensor) -> Tensor:
-        return t.reshape(m, length, h, dh).transpose(0, 2, 1, 3)
+    def rows_of(a4: np.ndarray, seqs: slice) -> np.ndarray:
+        """A block's sequences of ``a4`` as rows, in (sequence, position) order."""
+        return a4[seqs].transpose(0, 2, 1, 3).reshape(-1, width)
 
-    q = split_heads(linear(x, params.w_q, params.b_q))
-    k = split_heads(linear(x, params.w_k, None))
-    v = split_heads(linear(x, params.w_v, params.b_v))
+    def put(a4: np.ndarray, seqs: slice, rows: np.ndarray) -> None:
+        """The inverse of :func:`rows_of`: write a block's rows into ``a4``."""
+        a4[seqs] = rows.reshape(-1, nodes, length, width).transpose(0, 2, 1, 3)
 
-    scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
-    if bias is not None:
-        scores = scores + bias.reshape(1, 1, length, length)
-    attn = softmax(scores, axis=-1)
-    mixed = attn @ v
-    merged = mixed.transpose(0, 2, 1, 3).reshape(m, length, width)
-    return linear(merged, params.w_o, params.b_o)
+    def heads(rows: np.ndarray) -> list[np.ndarray]:
+        """(rows, k * width) as k views (sequences, heads, length, head width)."""
+        return [part.reshape(-1, length, h, dh).transpose(0, 2, 1, 3)
+                for part in np.split(rows, rows.shape[1] // width, axis=1)]
+
+    def project(xs: np.ndarray) -> list[np.ndarray]:
+        """q, k and v of a block, as views into one [q k v] array."""
+        qkv = xs @ w_qkv
+        qkv += b_qkv
+        return heads(qkv)
+
+    def merge(attn: np.ndarray, v: np.ndarray) -> np.ndarray:
+        return np.matmul(attn, v).transpose(0, 2, 1, 3).reshape(-1, width)
+
+    out = np.empty(x4.shape)
+    probs = np.empty((count, nodes, h, length, length))
+
+    def forward_lane(blocks: list[slice]) -> None:
+        for seqs in blocks:
+            q, k, v = project(rows_of(x4, seqs))
+            scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+            scores *= scale
+            if bias is not None:
+                scores += bias.data
+            scores -= scores.max(axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            attn = probs[seqs].reshape(scores.shape)
+            np.divide(scores, scores.sum(axis=-1, keepdims=True), out=attn)
+            y = merge(attn, v) @ w_o
+            y += params.b_o.data
+            put(out, seqs, y)
+
+    _in_lanes(forward_lane, [(blocks,) for blocks in lanes])
+
+    def back(g: np.ndarray) -> None:
+        g4 = g.reshape(x4.shape)
+        dx = np.empty(x4.shape) if x.requires_grad else None
+
+        def backward_lane(blocks: list[slice], dw_qkv: np.ndarray, db_qkv: np.ndarray,
+                          dw_o: np.ndarray, db_o: np.ndarray, d_bias: np.ndarray
+                          ) -> tuple[np.ndarray, ...]:
+            for seqs in blocks:
+                xs = rows_of(x4, seqs)
+                gs = rows_of(g4, seqs)
+                q, k, v = project(xs)
+                attn = probs[seqs].reshape(-1, h, length, length)
+                dw_o += merge(attn, v).T @ gs
+                db_o += gs.sum(axis=0)
+                d_mixed, = heads(gs @ w_o.T)
+                d_scores = np.matmul(d_mixed, v.transpose(0, 1, 3, 2))
+                d_scores -= (d_scores * attn).sum(axis=-1, keepdims=True)
+                d_scores *= attn
+                d_bias += d_scores.sum(axis=(0, 1))
+                d_scores *= scale
+                d_qkv = np.empty((len(xs), 3 * width))
+                dq, dk, dv = heads(d_qkv)
+                dq[...] = np.matmul(d_scores, k)
+                dk[...] = np.matmul(d_scores.transpose(0, 1, 3, 2), q)
+                dv[...] = np.matmul(attn.transpose(0, 1, 3, 2), d_mixed)
+                dw_qkv += xs.T @ d_qkv
+                db_qkv += d_qkv.sum(axis=0)
+                if dx is not None:
+                    put(dx, seqs, d_qkv @ w_qkv.T)
+            return dw_qkv, db_qkv, dw_o, db_o, d_bias
+
+        dw_qkv, db_qkv, dw_o, db_o, d_bias = _add_lanes(_in_lanes(backward_lane, [
+            (blocks, np.zeros_like(w_qkv), np.zeros_like(b_qkv), np.zeros_like(w_o),
+             np.zeros(width), np.zeros((length, length))) for blocks in lanes]))
+        if dx is not None:
+            x._accumulate(dx.reshape(x.shape))
+        dw_q, dw_k, dw_v = np.split(dw_qkv, 3, axis=1)
+        db_q, _, db_v = np.split(db_qkv, 3)
+        for param, part in ((params.w_q, dw_q), (params.b_q, db_q), (params.w_k, dw_k),
+                            (params.w_v, dw_v), (params.b_v, db_v), (params.w_o, dw_o),
+                            (params.b_o, db_o), (bias, d_bias)):
+            if param is not None and param.requires_grad:
+                param._accumulate(part)
+
+    parents = (x, params.w_q, params.b_q, params.w_k, params.w_v, params.b_v,
+               params.w_o, params.b_o) + (() if bias is None else (bias,))
+    return Tensor._result(out.reshape(x.shape), parents, back)
 
 
 def temporal_attention(h: Tensor, params: AttentionParams) -> Tensor:
     """Attend along time independently per node; input (..., T, N, D)."""
     *lead, t, n, d = h.shape
-    batch = int(np.prod(lead)) if lead else 1
-    per_node = h.transpose(*range(len(lead)), len(lead) + 1, len(lead), len(lead) + 2)
-    flat = per_node.reshape(batch * n, t, d)
-    out = scaled_dot_attention(flat, params)
-    back = out.reshape(*lead, n, t, d)
-    return back.transpose(*range(len(lead)), len(lead) + 1, len(lead), len(lead) + 2)
+    if len(lead) == 1:
+        return scaled_dot_attention(h, params)
+    return scaled_dot_attention(h.reshape(-1, t, n, d), params).reshape(h.shape)
 
 
 def spatial_attention(h: Tensor, params: AttentionParams,
                       bias: Tensor | None = None) -> Tensor:
     """Attend across nodes independently per time step; input (..., T, N, D)."""
-    *lead, t, n, d = h.shape
-    batch = int(np.prod(lead)) if lead else 1
-    flat = h.reshape(batch * t, n, d)
-    out = scaled_dot_attention(flat, params, bias=bias)
-    return out.reshape(*lead, t, n, d)
+    n, d = h.shape[-2:]
+    return scaled_dot_attention(h.reshape(-1, n, d), params, bias=bias).reshape(h.shape)

@@ -36,6 +36,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _finite_float(raw: str) -> float:
+    """A float flag, read by the codec's rule: a non-finite value is a usage error."""
+    try:
+        return kv.decode(0.0, raw)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 # -- run configuration ------------------------------------------------------------
 
 # Every settable run key.  TrainConfig.threshold is spelled data.threshold, and
@@ -323,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--split", default="test", choices=("train", "val", "test"),
                    help="which chronological split to evaluate")
-    p.add_argument("--threshold", type=float, default=0.0,
+    p.add_argument("--threshold", type=_finite_float, default=0.0,
                    help="mask targets at or below this value")
     p.add_argument("--out", default="", help="report file (default eval_<split>.txt)")
     p.set_defaults(func=cmd_eval)

@@ -291,14 +291,14 @@ class StgormerModel:
                 attended = spatial_attention(h, block.attn, bias)
             else:
                 attended = temporal_attention(h, block.attn)
-            h = layer_norm(h + attended, block.norm1_gamma, block.norm1_beta)
+            h = layer_norm(h, attended, block.norm1_gamma, block.norm1_beta)
             del attended
             if block.router is not None:
                 f, block_usage = moe_forward(h, block.experts, block.router)
                 usage.append(block_usage)
             else:
                 f = expert_forward(h, block.experts[0])
-            h = layer_norm(h + f, block.norm2_gamma, block.norm2_beta)
+            h = layer_norm(h, f, block.norm2_gamma, block.norm2_beta)
             del f
 
         per_node = h.transpose(0, 2, 1, 3).reshape(b, n, t * cfg.hidden_dim)

@@ -8,30 +8,17 @@ stay separate tensors and are stacked on every call.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Tensor, linear, softmax
+from .numerics import Tensor, _add_lanes, _in_lanes, _lanes, linear, softmax
 
 # Hidden-layer bytes per row block of dense_mixture: 128 tokens at the default
 # width (6 experts of 256), within a 2 MiB per-core L2 cache. On a 2-core host
 # 128 rows beat 64 and 256 on a default training step; at small widths the
 # larger blocks keep the per-block overhead down.
 _BLOCK_BYTES = 3 << 19
-
-# Lanes of dense_mixture: contiguous runs of whole blocks. Lane 0 runs in the
-# calling thread and the others on _POOL; numpy releases the GIL in matmul and
-# the ufuncs, and each BLAS call stays on one thread. A constant rather than
-# the core count, so the split, and with it the bits, depends only on the
-# token count. The pool starts its thread on first use, not on import.
-_LANES = 2
-# Blocks a lane needs at least. A call of a few blocks (batch-1 inference)
-# lasts a few ms, and waiting there for a second core that the host has
-# descheduled for a while costs more than the lane saves.
-_LANE_BLOCKS = 2
-_POOL = ThreadPoolExecutor(max_workers=_LANES - 1, thread_name_prefix="moe-lane")
 
 
 @dataclass
@@ -61,28 +48,6 @@ def gate(x: Tensor, router: RouterParams) -> Tensor:
     return softmax(linear(x, router.w, router.b), axis=-1)
 
 
-def _lanes(tokens: int, block: int) -> list[list[slice]]:
-    """Row blocks of ``block`` tokens, dealt into at most ``_LANES`` contiguous
-    lanes of at least ``_LANE_BLOCKS`` whole blocks, or into one lane."""
-    blocks = [slice(start, min(start + block, tokens)) for start in range(0, tokens, block)]
-    count = max(1, min(_LANES, len(blocks) // _LANE_BLOCKS))
-    cuts = [len(blocks) * i // count for i in range(count + 1)]
-    return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
-
-
-def _in_lanes(run, work: list[tuple]) -> list:
-    """``run(*work[i])`` for every lane i, lane 0 in this thread and the rest on
-    ``_POOL``. Returns once every lane has finished, also when one raises:
-    the results in lane order, or the first failure in lane order."""
-    futures = [_POOL.submit(run, *args) for args in work[1:]]
-    try:
-        first = run(*work[0])
-    finally:
-        for future in futures:
-            future.exception()  # waits for the lane; its failure is raised below
-    return [first] + [future.result() for future in futures]
-
-
 def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Tensor:
     """sum_e weights[..., e] * expert_e(x) as one graph node.
 
@@ -91,10 +56,10 @@ def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Te
     slice scaled by the token's gate weight, times W2, plus weights @ B2.
     Tokens run in row blocks of about ``_BLOCK_BYTES`` of hidden layer, so
     that a block's hidden layer stays in cache, and the blocks run in lanes
-    (:func:`_lanes`) that each write only their own rows. The hidden layer
-    is not kept: the closed-form backward recomputes it block by block; each
-    lane sums its own stacked parameter gradients, the lanes' sums are added
-    in lane order and sliced back to each expert.
+    (:func:`numerics._lanes`) that each write only their own rows. The hidden
+    layer is not kept: the closed-form backward recomputes it block by block;
+    each lane sums its own stacked parameter gradients, the lanes' sums are
+    added in lane order and sliced back to each expert.
     """
     n_exp = len(experts)
     if weights.shape != x.shape[:-1] + (n_exp,):
@@ -111,9 +76,8 @@ def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Te
 
     def buffers(blocks: list[slice], hidden_count: int) -> list[np.ndarray]:
         """A lane's [x 1] block buffer and ``hidden_count`` hidden-layer ones,
-        sized to its first block, which is its largest. Each lane's buffers
-        are made in the calling thread: a worker thread allocates from its own
-        malloc arena, which cannot reuse the memory this thread has freed."""
+        sized to its first block, which is its largest; made in the calling
+        thread, like every array that outlives a lane (:func:`_in_lanes`)."""
         rows = blocks[0].stop - blocks[0].start if blocks else 0
         x1 = np.empty((rows, width + 1))
         x1[:, width] = 1.0
@@ -171,13 +135,9 @@ def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Te
                 dw1 += np.matmul(x1.T, d, out=part1)
             return dw1, dw2
 
-        sums = _in_lanes(backward_lane, [
+        dw1, dw2 = _add_lanes(_in_lanes(backward_lane, [
             (blocks, *buffers(blocks, 2), np.zeros_like(w1), np.zeros_like(w2),
-             np.empty_like(w1), np.empty_like(w2)) for blocks in lanes])
-        dw1, dw2 = sums[0]
-        for lane_dw1, lane_dw2 in sums[1:]:
-            dw1 += lane_dw1
-            dw2 += lane_dw2
+             np.empty_like(w1), np.empty_like(w2)) for blocks in lanes]))
         if d_gw is not None:
             d_gw += g2 @ b2.T
             weights._accumulate(d_gw.reshape(weights.shape))

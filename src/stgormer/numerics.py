@@ -9,6 +9,7 @@ store's values in and out of a model checkpoint.
 """
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -164,21 +165,6 @@ class Tensor:
 
         return Tensor._result(data, (self, other), back)
 
-    def __matmul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        a, b = self.data, other.data
-        data = np.matmul(a, b)
-
-        def back(g: np.ndarray) -> None:
-            if self.requires_grad:
-                ga = np.matmul(g, np.swapaxes(b, -1, -2))
-                self._accumulate(_unbroadcast(ga, a.shape))
-            if other.requires_grad:
-                gb = np.matmul(np.swapaxes(a, -1, -2), g)
-                other._accumulate(_unbroadcast(gb, b.shape))
-
-        return Tensor._result(data, (self, other), back)
-
     # -- reductions and shape ops --------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
@@ -269,6 +255,62 @@ class Tensor:
         return Tensor._result(data, (self,), back)
 
 
+# Lanes: contiguous runs of whole row blocks that the row-wise primitives
+# (attention, layer norm and the MoE's dense_mixture) run on two threads.
+# Lane 0 runs in the calling thread and the others on _POOL; numpy releases
+# the GIL in matmul and the ufuncs, and each BLAS call stays on one thread. A
+# constant rather than the core count, so the split, and with it the bits,
+# depends only on the row count. The pool has one worker, whose thread starts
+# on first use, not on import: each concurrent BLAS caller gets its own
+# OpenBLAS buffer, so a second worker would cost memory and gain no core.
+_LANES = 2
+# Blocks a lane needs at least. A call of a few blocks (batch-1 inference)
+# lasts a few ms, and waiting there for a second core that the host has
+# descheduled for a while costs more than the lane saves.
+_LANE_BLOCKS = 2
+_POOL = ThreadPoolExecutor(max_workers=_LANES - 1, thread_name_prefix="lane")
+# Rows per block of attention and layer norm. A block's temporaries then stay
+# a few hundred KiB each, small enough that malloc keeps reusing them instead
+# of returning them to the system and faulting them in again: on a 2-core
+# host a default training step took 8.3-8.5k minor page faults at 384 rows,
+# 7.6-15.9k at 768, and 10.5-10.8k with the unfused graph.
+_BLOCK_ROWS = 384
+
+
+def _lanes(rows: int, block: int) -> list[list[slice]]:
+    """Row blocks of ``block`` rows, dealt into at most ``_LANES`` contiguous
+    lanes of at least ``_LANE_BLOCKS`` whole blocks, or into one lane."""
+    blocks = [slice(start, min(start + block, rows)) for start in range(0, rows, block)]
+    count = max(1, min(_LANES, len(blocks) // _LANE_BLOCKS))
+    cuts = [len(blocks) * i // count for i in range(count + 1)]
+    return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
+
+
+def _in_lanes(run, work: list[tuple]) -> list:
+    """``run(*work[i])`` for every lane i, lane 0 in this thread and the rest on
+    ``_POOL``. Returns once every lane has finished, also when one raises:
+    the results in lane order, or the first failure in lane order.
+
+    Any array that outlives the call is allocated by the caller: a worker
+    thread allocates from its own malloc arena, which cannot reuse the memory
+    this thread has freed."""
+    futures = [_POOL.submit(run, *args) for args in work[1:]]
+    try:
+        first = run(*work[0])
+    finally:
+        for future in futures:
+            future.exception()  # waits for the lane; its failure is raised below
+    return [first] + [future.result() for future in futures]
+
+
+def _add_lanes(sums: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
+    """Lane 0's gradient sums, with every other lane's added in lane order."""
+    for lane in sums[1:]:
+        for total, part in zip(sums[0], lane):
+            total += part
+    return sums[0]
+
+
 # -- free functions over tensors ----------------------------------------------
 
 
@@ -315,31 +357,70 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
     return Tensor._result(out.reshape(lead + (w.shape[1],)), parents, back)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the trailing axis to zero mean / unit variance, then affine.
+def layer_norm(x: Tensor, residual: Tensor, gamma: Tensor, beta: Tensor,
+               eps: float = 1e-5) -> Tensor:
+    """Residual post-norm: normalize the trailing axis of ``x + residual`` to
+    zero mean / unit variance, then affine.
 
-    Fused primitive: the whole map gets one graph node with the standard
-    closed-form backward instead of a chain of elementwise ops.
+    Fused primitive: one graph node with the standard closed-form backward.
+    Rows run in blocks of ``_BLOCK_ROWS`` dealt into lanes (:func:`_lanes`);
+    the node keeps only the normalized rows and their inverse deviations, not
+    the sum. Each lane sums its own gamma and beta gradients, and the lanes'
+    sums are added in lane order.
     """
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_sigma = (var + eps) ** -0.5
-    normed = centered * inv_sigma
-    out_data = normed * gamma.data + beta.data
+    if residual.shape != x.shape:
+        raise ValueError(f"layer_norm: residual shape {residual.shape} "
+                         f"does not match input shape {x.shape}")
+    width = x.shape[-1]
+    x2 = x.data.reshape(-1, width)
+    r2 = residual.data.reshape(-1, width)
+    out = np.empty_like(x2)
+    normed = np.empty_like(x2)
+    inv_sigma = np.empty((len(x2), 1))
+    lanes = _lanes(len(x2), _BLOCK_ROWS)
+
+    def forward_lane(blocks: list[slice]) -> None:
+        for rows in blocks:
+            centered = np.add(x2[rows], r2[rows], out=normed[rows])
+            centered -= centered.mean(axis=-1, keepdims=True)
+            var = (centered * centered).mean(axis=-1, keepdims=True)
+            inv_sigma[rows] = (var + eps) ** -0.5
+            centered *= inv_sigma[rows]
+            y = np.multiply(centered, gamma.data, out=out[rows])
+            y += beta.data
+
+    _in_lanes(forward_lane, [(blocks,) for blocks in lanes])
 
     def back(g: np.ndarray) -> None:
-        if beta.requires_grad:
-            beta._accumulate(_unbroadcast(g, beta.data.shape))
-        if gamma.requires_grad:
-            gamma._accumulate(_unbroadcast(g * normed, gamma.data.shape))
-        if x.requires_grad:
-            gn = g * gamma.data
-            inner = (gn * normed).mean(axis=-1, keepdims=True)
-            x._accumulate((gn - gn.mean(axis=-1, keepdims=True)
-                           - normed * inner) * inv_sigma)
+        g2 = g.reshape(-1, width)
+        dx = np.empty_like(g2) if x.requires_grad or residual.requires_grad else None
 
-    return Tensor._result(out_data, (x, gamma, beta), back)
+        def backward_lane(blocks: list[slice], d_gamma: np.ndarray,
+                          d_beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            for rows in blocks:
+                d_beta += g2[rows].sum(axis=0)
+                d_gamma += (g2[rows] * normed[rows]).sum(axis=0)
+                if dx is not None:
+                    gn = np.multiply(g2[rows], gamma.data, out=dx[rows])
+                    inner = (gn * normed[rows]).mean(axis=-1, keepdims=True)
+                    gn -= gn.mean(axis=-1, keepdims=True)
+                    gn -= normed[rows] * inner
+                    gn *= inv_sigma[rows]
+            return d_gamma, d_beta
+
+        d_gamma, d_beta = _add_lanes(_in_lanes(backward_lane, [
+            (blocks, np.zeros(width), np.zeros(width)) for blocks in lanes]))
+        if beta.requires_grad:
+            beta._accumulate(d_beta)
+        if gamma.requires_grad:
+            gamma._accumulate(d_gamma)
+        if dx is not None:
+            dx = dx.reshape(x.shape)
+            for t in (x, residual):
+                if t.requires_grad:
+                    t._accumulate(dx)
+
+    return Tensor._result(out.reshape(x.shape), (x, residual, gamma, beta), back)
 
 
 def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:

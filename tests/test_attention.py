@@ -1,11 +1,16 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from lane_pools import DeferredPool, InlinePool
+from stgormer import numerics
 from stgormer.attention import (AttentionParams, scaled_dot_attention,
                                 spatial_attention, spd_bias,
                                 spd_bucket_indices, temporal_attention)
 from stgormer.graph import SpatioTemporalGraph, relabel, shortest_path_matrix
-from stgormer.numerics import ParameterStore, Tensor, finite_difference_check
+from stgormer.numerics import ParameterStore, Tensor, _lanes, finite_difference_check
 
 
 def make_params(rng, width, heads, store=None, prefix="attn"):
@@ -50,6 +55,36 @@ def attention_oracle(x, p, bias=None):
             merged.append(weights @ vh)
         out[bi] = np.concatenate(merged, axis=-1) @ p.w_o.data + p.b_o.data
     return out
+
+
+def unfused_attention(x, p, bias=None):
+    """Attention as the graph of small ops that scaled_dot_attention fuses,
+    on plain arrays: three projections, batched matmuls, softmax, merge.
+    The reference for the fused node's bits. (m, L, D) input, or
+    (P, L, Q, D) attended along axis 1 for each of the Q nodes."""
+    if x.ndim == 4:
+        per_node = x.transpose(0, 2, 1, 3).reshape(-1, x.shape[1], x.shape[3])
+        out = unfused_attention(per_node, p, bias)
+        return out.reshape(x.shape[0], x.shape[2], x.shape[1], x.shape[3]).transpose(0, 2, 1, 3)
+    m, length, width = x.shape
+    h, dh = p.heads, width // p.heads
+
+    def project(w, b):
+        out = x.reshape(-1, width) @ w.data
+        if b is not None:
+            out += b.data
+        return out.reshape(m, length, h, dh).transpose(0, 2, 1, 3)
+
+    q, k, v = project(p.w_q, p.b_q), project(p.w_k, None), project(p.w_v, p.b_v)
+    scores = np.matmul(q, k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(dh))
+    if bias is not None:
+        scores = scores + bias
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    merged = np.matmul(attn, v).transpose(0, 2, 1, 3).reshape(-1, width)
+    out = merged @ p.w_o.data
+    out += p.b_o.data
+    return out.reshape(x.shape)
 
 
 class TestScaledDotAttention:
@@ -109,6 +144,117 @@ class TestScaledDotAttention:
             return (diff * diff).mean()
 
         assert finite_difference_check(fwd, store) < 1e-4
+
+
+class TestAttentionLanes:
+    """scaled_dot_attention's sequence blocks run in two lanes on two threads."""
+
+    # 384-row blocks: 96 sequences of 4, or 9 groups of 10 sequences of 4,
+    # so each shape is 5 blocks in lanes [0, 1] and [2, 3, 4]
+    SHAPES = {"spatial": (400, 4, 4), "temporal": (40, 4, 10, 4)}
+
+    def inputs(self, layout, store=None, probed=("params", "bias")):
+        """x, the parameters and the bias. With a store, the ``probed`` groups
+        are registered there and the rest are constants."""
+        rng = np.random.default_rng(95)
+        shape = self.SHAPES[layout]
+        length = shape[1]
+        x = rng.normal(size=shape)
+        p = make_params(rng, shape[-1], 2, store if "params" in probed else None)
+        bias = rng.normal(size=(length, length))
+        if store is None:
+            for t in (p.w_q, p.b_q, p.w_k, p.w_v, p.b_v, p.w_o, p.b_o):
+                t.requires_grad = True
+            return Tensor(x, requires_grad=True), p, Tensor(bias, requires_grad=True)
+        x = store.add("x", x) if "x" in probed else Tensor(x)
+        bias = store.add("bias", bias) if "bias" in probed else Tensor(bias)
+        return x, p, bias
+
+    def run(self, layout):
+        """Forward output, then the gradients of x, each parameter and the bias."""
+        x, p, bias = self.inputs(layout)
+        out = scaled_dot_attention(x, p, bias=bias)
+        target = np.random.default_rng(96).normal(size=x.shape)
+        diff = out - Tensor(target)
+        (diff * diff).sum().backward()
+        tensors = [x, p.w_q, p.b_q, p.w_k, p.w_v, p.b_v, p.w_o, p.b_o, bias]
+        return [out.data] + [t.grad for t in tensors]
+
+    @pytest.mark.parametrize("layout", ["spatial", "temporal"])
+    def test_spans_two_lanes(self, layout):
+        count, length, *nodes, _ = self.SHAPES[layout]
+        per_block = numerics._BLOCK_ROWS // (length * int(np.prod(nodes)))
+        assert [len(lane) for lane in _lanes(count, per_block)] == [2, 3]
+
+    @pytest.mark.parametrize("layout", ["spatial", "temporal"])
+    def test_forward_is_bitwise_the_unfused_composition(self, layout):
+        x, p, bias = self.inputs(layout)
+        for b in (None, bias):
+            got = scaled_dot_attention(x, p, bias=b).data
+            want = unfused_attention(x.data, p, None if b is None else b.data)
+            assert got.tobytes() == want.tobytes()
+
+    @staticmethod
+    def assert_matches_one_lane(got, one):
+        for i in (0, 1):  # out and dx: each lane writes its own sequences
+            assert got[i].tobytes() == one[i].tobytes()
+        for g, want in zip(got[2:], one[2:]):  # sums over the blocks
+            assert np.max(np.abs(g - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("layout", ["spatial", "temporal"])
+    def test_forward_is_bitwise_the_one_lane_run(self, monkeypatch, layout):
+        two = self.run(layout)
+        monkeypatch.setattr(numerics, "_LANES", 1)
+        self.assert_matches_one_lane(two, self.run(layout))
+
+    @pytest.mark.parametrize("layout", ["spatial", "temporal"])
+    def test_many_lanes_under_fast_thread_switching(self, monkeypatch, layout):
+        # 17 or 18 blocks in 8 lanes on 7 workers, more threads than cores,
+        # with the interpreter switching threads as often as it can: a
+        # sequence lost or written by the wrong lane would break the match
+        monkeypatch.setattr(self, "SHAPES", {"spatial": (1600, 4, 4),
+                                             "temporal": (160, 4, 10, 4)})
+        monkeypatch.setattr(numerics, "_LANES", 1)
+        one = self.run(layout)
+        pool = ThreadPoolExecutor(max_workers=7)
+        monkeypatch.setattr(numerics, "_LANES", 8)
+        monkeypatch.setattr(numerics, "_POOL", pool)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            many = self.run(layout)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=True)
+        self.assert_matches_one_lane(many, one)
+
+    @pytest.mark.parametrize("layout", ["spatial", "temporal"])
+    def test_bits_do_not_depend_on_lane_order(self, monkeypatch, layout):
+        threaded = self.run(layout)
+        for pool in (InlinePool(), DeferredPool()):
+            monkeypatch.setattr(numerics, "_POOL", pool)
+            for got, want in zip(self.run(layout), threaded):
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("layout,with_bias", [
+        ("spatial", True), ("spatial", False), ("temporal", False)])
+    def test_gradients_across_lanes(self, layout, with_bias):
+        # the batched q k^T and attn v products, the softmax Jacobian and the
+        # bias sum, probed at the default step; the parameters and the bias
+        # are few enough to probe every coordinate, x is subsampled. The loss
+        # is a weighted sum of the outputs: the mean squared error of the
+        # 6,400 spatial outputs reads 3e-4 of round-off on the smallest input
+        # gradients
+        weights = Tensor(np.random.default_rng(97).normal(size=self.SHAPES[layout]))
+        for probed in (("params", "bias") if with_bias else ("params",), ("x",)):
+            store = ParameterStore()
+            x, p, bias = self.inputs(layout, store, probed)
+
+            def fwd():
+                out = scaled_dot_attention(x, p, bias=bias if with_bias else None)
+                return (out * weights).sum()
+
+            assert finite_difference_check(fwd, store) < 1e-6, probed
 
 
 class TestTemporalAttention:

@@ -257,6 +257,17 @@ class TestEval:
         assert err.startswith("error:")
         assert "empty mask" in err
 
+    @pytest.mark.parametrize("value", ["-inf", "nan", "inf", "1e400"])
+    def test_non_finite_threshold_is_usage_error(self, tmp_path, capsys, value):
+        # the flag follows the same finite rule as data.threshold in a config
+        code = main(["eval", "--checkpoint", str(tmp_path / "model.ckpt"),
+                     "--data", str(tmp_path), f"--threshold={value}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--threshold" in err and "finite" in err
+        assert not list(tmp_path.iterdir())
+
     def test_golden_report_reproduced(self, tmp_path):
         # the smoke checkpoint is retrained from the golden config and dataset,
         # pinned by its SHA-256, and must reproduce the stored report

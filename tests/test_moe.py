@@ -2,17 +2,18 @@ import sys
 import threading
 import time
 import tracemalloc
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stgormer import moe
-from stgormer.moe import (_BLOCK_BYTES, ExpertParams, RouterParams, _lanes, dense_mixture,
+from lane_pools import DeferredPool, InlinePool
+from stgormer import moe, numerics
+from stgormer.moe import (_BLOCK_BYTES, ExpertParams, RouterParams, dense_mixture,
                           expert_forward, gate, load_balance_loss, moe_forward)
-from stgormer.numerics import ParameterStore, Tensor, finite_difference_check
+from stgormer.numerics import ParameterStore, Tensor, _lanes, finite_difference_check
 
 
 def make_expert(rng, width, hidden, store=None, prefix="expert"):
@@ -243,50 +244,6 @@ class TestDenseMixture:
             moe_forward(Tensor(rng.normal(size=(3, 4))), experts, router)
 
 
-class _InlinePool:
-    """Runs each lane as it is submitted, so lane 1 runs before lane 0."""
-
-    def submit(self, fn, *args):
-        future = Future()
-        try:
-            future.set_result(fn(*args))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
-class _DeferredPool:
-    """Holds the lanes back until the caller first waits on one (after lane 0
-    has run), then runs every held lane in reverse order of submission."""
-
-    def __init__(self):
-        self.held = []
-
-    def submit(self, fn, *args):
-        pool = self
-
-        class Deferred(Future):
-            def exception(self, timeout=None):
-                pool.run_held()
-                return super().exception(timeout)
-
-            def result(self, timeout=None):
-                pool.run_held()
-                return super().result(timeout)
-
-        future = Deferred()
-        self.held.append((future, fn, args))
-        return future
-
-    def run_held(self):
-        while self.held:
-            future, fn, args = self.held.pop()
-            try:
-                future.set_result(fn(*args))
-            except Exception as exc:
-                future.set_exception(exc)
-
-
 class _LatePool:
     """A real one-thread pool whose lanes start 0.2 s late; keeps each future."""
 
@@ -353,8 +310,8 @@ class TestLanes:
 
     def test_bits_do_not_depend_on_lane_order(self, monkeypatch):
         threaded = self.run()
-        for pool in (_InlinePool(), _DeferredPool()):
-            monkeypatch.setattr(moe, "_POOL", pool)
+        for pool in (InlinePool(), DeferredPool()):
+            monkeypatch.setattr(numerics, "_POOL", pool)
             ordered = self.run()
             for got, want in zip(ordered, threaded):
                 assert got.tobytes() == want.tobytes()
@@ -368,7 +325,7 @@ class TestLanes:
 
     def test_forward_is_bitwise_the_one_lane_run(self, monkeypatch):
         two = self.run()
-        monkeypatch.setattr(moe, "_LANES", 1)
+        monkeypatch.setattr(numerics, "_LANES", 1)
         self.assert_matches_one_lane(two, self.run())
 
     def test_many_lanes_under_fast_thread_switching(self, monkeypatch):
@@ -376,11 +333,11 @@ class TestLanes:
         # interpreter switching threads as often as it can: a row lost or
         # written by the wrong lane would break the bitwise match
         lead = (8, 300)
-        monkeypatch.setattr(moe, "_LANES", 1)
+        monkeypatch.setattr(numerics, "_LANES", 1)
         one = self.run(lead)
         pool = ThreadPoolExecutor(max_workers=7)
-        monkeypatch.setattr(moe, "_LANES", 8)
-        monkeypatch.setattr(moe, "_POOL", pool)
+        monkeypatch.setattr(numerics, "_LANES", 8)
+        monkeypatch.setattr(numerics, "_POOL", pool)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -397,7 +354,7 @@ class TestLanes:
         x = Tensor(rng.normal(size=self.LEAD + (self.WIDTH,)))
         weights = Tensor(rng.dirichlet(np.ones(self.COUNT), size=self.LEAD))
         pool = _LatePool()
-        monkeypatch.setattr(moe, "_POOL", pool)
+        monkeypatch.setattr(numerics, "_POOL", pool)
         monkeypatch.setattr(moe, "np", _FailingNumpy(failing_lane))
         try:
             with pytest.raises(FloatingPointError, match=f"{failing_lane} lane failed"):
