@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import SpdMatrix, UNREACHABLE
-from .numerics import _BLOCK_ROWS, Tensor, _add_lanes, _in_lanes, _lanes, gather_rows
+from .numerics import _BLOCK_ROWS, Tensor, _in_blocks, gather_rows
 
 
 @dataclass
@@ -58,12 +58,10 @@ def scaled_dot_attention(x: Tensor, params: AttentionParams,
     Scores are q k^T / sqrt(head_width); ``bias`` (length x length) is added
     after scaling and broadcast over sequences and heads. Q, K and V come from
     one GEMM against [W_q W_k W_v], stacked on every call. Whole sequences run
-    in blocks of about ``_BLOCK_ROWS`` rows, dealt into lanes
-    (:func:`numerics._lanes`) that each write only their own sequences. The
+    in blocks of about ``_BLOCK_ROWS`` rows (:func:`numerics._in_blocks`). The
     node keeps only its input and the attention probabilities: the
     closed-form backward recomputes q, k, v and the merged heads block by
-    block, each lane sums its own weight and bias gradients, and the lanes'
-    sums are added in lane order.
+    block.
     """
     if x.data.ndim not in (3, 4):
         raise ValueError(f"attention input must be 3-D or 4-D, got shape {x.shape}")
@@ -81,7 +79,7 @@ def scaled_dot_attention(x: Tensor, params: AttentionParams,
     b_qkv = np.concatenate([params.b_q.data, np.zeros(width), params.b_v.data])
     w_o = params.w_o.data
     scale = 1.0 / np.sqrt(dh)
-    lanes = _lanes(count, max(1, _BLOCK_ROWS // (length * nodes)))
+    block = max(1, _BLOCK_ROWS // (length * nodes))
 
     def rows_of(a4: np.ndarray, seqs: slice) -> np.ndarray:
         """A block's sequences of ``a4`` as rows, in (sequence, position) order."""
@@ -108,57 +106,53 @@ def scaled_dot_attention(x: Tensor, params: AttentionParams,
     out = np.empty(x4.shape)
     probs = np.empty((count, nodes, h, length, length))
 
-    def forward_lane(blocks: list[slice]) -> None:
-        for seqs in blocks:
-            q, k, v = project(rows_of(x4, seqs))
-            scores = np.matmul(q, k.transpose(0, 1, 3, 2))
-            scores *= scale
-            if bias is not None:
-                scores += bias.data
-            scores -= scores.max(axis=-1, keepdims=True)
-            np.exp(scores, out=scores)
-            attn = probs[seqs].reshape(scores.shape)
-            np.divide(scores, scores.sum(axis=-1, keepdims=True), out=attn)
-            y = merge(attn, v) @ w_o
-            y += params.b_o.data
-            put(out, seqs, y)
+    def forward_block(seqs: slice) -> None:
+        q, k, v = project(rows_of(x4, seqs))
+        scores = np.matmul(q, k.transpose(0, 1, 3, 2))
+        scores *= scale
+        if bias is not None:
+            scores += bias.data
+        scores -= scores.max(axis=-1, keepdims=True)
+        np.exp(scores, out=scores)
+        attn = probs[seqs].reshape(scores.shape)
+        np.divide(scores, scores.sum(axis=-1, keepdims=True), out=attn)
+        y = merge(attn, v) @ w_o
+        y += params.b_o.data
+        put(out, seqs, y)
 
-    _in_lanes(forward_lane, [(blocks,) for blocks in lanes])
+    _in_blocks(count, block, forward_block)
 
     def back(g: np.ndarray) -> None:
         g4 = g.reshape(x4.shape)
         dx = np.empty(x4.shape) if x.requires_grad else None
 
-        def backward_lane(blocks: list[slice], dw_qkv: np.ndarray, db_qkv: np.ndarray,
-                          dw_o: np.ndarray, db_o: np.ndarray, d_bias: np.ndarray
-                          ) -> tuple[np.ndarray, ...]:
-            for seqs in blocks:
-                xs = rows_of(x4, seqs)
-                gs = rows_of(g4, seqs)
-                q, k, v = project(xs)
-                attn = probs[seqs].reshape(-1, h, length, length)
-                dw_o += merge(attn, v).T @ gs
-                db_o += gs.sum(axis=0)
-                d_mixed, = heads(gs @ w_o.T)
-                d_scores = np.matmul(d_mixed, v.transpose(0, 1, 3, 2))
-                d_scores -= (d_scores * attn).sum(axis=-1, keepdims=True)
-                d_scores *= attn
-                d_bias += d_scores.sum(axis=(0, 1))
-                d_scores *= scale
-                d_qkv = np.empty((len(xs), 3 * width))
-                dq, dk, dv = heads(d_qkv)
-                dq[...] = np.matmul(d_scores, k)
-                dk[...] = np.matmul(d_scores.transpose(0, 1, 3, 2), q)
-                dv[...] = np.matmul(attn.transpose(0, 1, 3, 2), d_mixed)
-                dw_qkv += xs.T @ d_qkv
-                db_qkv += d_qkv.sum(axis=0)
-                if dx is not None:
-                    put(dx, seqs, d_qkv @ w_qkv.T)
-            return dw_qkv, db_qkv, dw_o, db_o, d_bias
+        def backward_block(seqs: slice, dw_qkv: np.ndarray, db_qkv: np.ndarray,
+                           dw_o: np.ndarray, db_o: np.ndarray, d_bias: np.ndarray) -> None:
+            xs = rows_of(x4, seqs)
+            gs = rows_of(g4, seqs)
+            q, k, v = project(xs)
+            attn = probs[seqs].reshape(-1, h, length, length)
+            dw_o += merge(attn, v).T @ gs
+            db_o += gs.sum(axis=0)
+            d_mixed, = heads(gs @ w_o.T)
+            d_scores = np.matmul(d_mixed, v.transpose(0, 1, 3, 2))
+            d_scores -= (d_scores * attn).sum(axis=-1, keepdims=True)
+            d_scores *= attn
+            d_bias += d_scores.sum(axis=(0, 1))
+            d_scores *= scale
+            d_qkv = np.empty((len(xs), 3 * width))
+            dq, dk, dv = heads(d_qkv)
+            dq[...] = np.matmul(d_scores, k)
+            dk[...] = np.matmul(d_scores.transpose(0, 1, 3, 2), q)
+            dv[...] = np.matmul(attn.transpose(0, 1, 3, 2), d_mixed)
+            dw_qkv += xs.T @ d_qkv
+            db_qkv += d_qkv.sum(axis=0)
+            if dx is not None:
+                put(dx, seqs, d_qkv @ w_qkv.T)
 
-        dw_qkv, db_qkv, dw_o, db_o, d_bias = _add_lanes(_in_lanes(backward_lane, [
-            (blocks, np.zeros_like(w_qkv), np.zeros_like(b_qkv), np.zeros_like(w_o),
-             np.zeros(width), np.zeros((length, length))) for blocks in lanes]))
+        dw_qkv, db_qkv, dw_o, db_o, d_bias = _in_blocks(
+            count, block, backward_block,
+            sums=(w_qkv.shape, b_qkv.shape, w_o.shape, width, (length, length)))
         if dx is not None:
             x._accumulate(dx.reshape(x.shape))
         dw_q, dw_k, dw_v = np.split(dw_qkv, 3, axis=1)

@@ -75,17 +75,19 @@ class Normalizer:
         return values * self.std + self.mean
 
 
-def split(ds: FlowDataset, ratios: tuple[int, int, int] = (7, 1, 2)
-          ) -> tuple[FlowDataset, FlowDataset, FlowDataset]:
-    """Chronological train/val/test split; remainder steps go to test."""
+SPLIT_RATIOS = (7, 1, 2)  # train : val : test
+
+
+def split(ds: FlowDataset) -> tuple[FlowDataset, FlowDataset, FlowDataset]:
+    """Chronological train/val/test split by ``SPLIT_RATIOS``; the rest goes to test."""
     t = ds.num_steps
-    total = sum(ratios)
-    n_train = t * ratios[0] // total
-    n_val = t * ratios[1] // total
+    total = sum(SPLIT_RATIOS)
+    n_train = t * SPLIT_RATIOS[0] // total
+    n_val = t * SPLIT_RATIOS[1] // total
     n_test = t - n_train - n_val
     if min(n_train, n_val, n_test) < 1:
         raise ValueError(
-            f"dataset with {t} steps is too short for a {ratios} split")
+            f"dataset with {t} steps is too short for a {SPLIT_RATIOS} split")
 
     def piece(lo: int, hi: int) -> FlowDataset:
         return FlowDataset(ds.flows[lo:hi], ds.timestamps[lo:hi], ds.graph)
@@ -165,17 +167,15 @@ class SyntheticSpec:
             raise ValueError("diffusion_rounds and noise_std must be non-negative")
 
 
-def random_graph(num_nodes: int, edge_prob: float, seed: int,
-                 directed: bool = True) -> SpatioTemporalGraph:
-    """Seeded Erdos-Renyi graph over ordered (directed) or unordered pairs."""
+def random_graph(num_nodes: int, edge_prob: float, seed: int) -> SpatioTemporalGraph:
+    """Seeded directed Erdos-Renyi graph over ordered pairs."""
     rng = np.random.default_rng(seed)
     pairs = []
     for u in range(num_nodes):
-        start = 0 if directed else u + 1
-        for v in range(start, num_nodes):
+        for v in range(num_nodes):
             if u != v and rng.random() < edge_prob:
                 pairs.append((u, v))
-    return SpatioTemporalGraph.from_edge_list(num_nodes, pairs, directed=directed)
+    return SpatioTemporalGraph.from_edge_list(num_nodes, pairs)
 
 
 def step_timestamps(total_steps: int, daily_period: int) -> np.ndarray:
@@ -216,7 +216,7 @@ def _noiseless_signal(spec: SyntheticSpec, graph: SpatioTemporalGraph) -> np.nda
 def synthesize(spec: SyntheticSpec) -> FlowDataset:
     """Generate a seeded synthetic dataset with daily and weekly seasonality."""
     spec.validate()
-    graph = random_graph(spec.num_nodes, spec.edge_prob, spec.seed, directed=True)
+    graph = random_graph(spec.num_nodes, spec.edge_prob, spec.seed)
     # finite knobs can still overflow: reported below, as the flow reader
     # rejects what is not finite
     with np.errstate(over="ignore", invalid="ignore"):
@@ -240,7 +240,7 @@ def implied_moments(spec: SyntheticSpec) -> tuple[float, float]:
     gives its moments exactly; independent noise adds its variance on top.
     """
     spec.validate()
-    graph = random_graph(spec.num_nodes, spec.edge_prob, spec.seed, directed=True)
+    graph = random_graph(spec.num_nodes, spec.edge_prob, spec.seed)
     one_period = _noiseless_signal(
         replace(spec, total_steps=spec.weekly_period), graph)
     return float(one_period.mean()), float(one_period.var() + spec.noise_std ** 2)
@@ -253,7 +253,7 @@ def metrics(y: np.ndarray, y_hat: np.ndarray, threshold: float = 0.0) -> dict:
     """Masked MAE / RMSE / MAPE over positions where the target exceeds ``threshold``.
 
     MAPE is returned as a fraction.  ``count`` reports how many positions
-    qualified.
+    qualified; a zero target among them (negative threshold) raises ``ValueError``.
     """
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
@@ -264,6 +264,10 @@ def metrics(y: np.ndarray, y_hat: np.ndarray, threshold: float = 0.0) -> dict:
     if count == 0:
         raise ValueError(
             f"empty mask: no target exceeds threshold {threshold}")
+    zeros = int(np.count_nonzero(y[mask] == 0))
+    if zeros:
+        raise ValueError(f"MAPE is undefined: {zeros} of {count} targets above "
+                         f"threshold {threshold} are zero")
     err = y[mask] - y_hat[mask]
     return {
         "mae": float(np.abs(err).mean()),

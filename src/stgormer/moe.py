@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Tensor, _add_lanes, _in_lanes, _lanes, linear, softmax
+from .numerics import Tensor, _in_blocks, linear, softmax
 
 # Hidden-layer bytes per row block of dense_mixture: 128 tokens at the default
 # width (6 experts of 256), within a 2 MiB per-core L2 cache. On a 2-core host
@@ -55,11 +55,10 @@ def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Te
     is b1, W2 (E*H, D) and B2 (E, D). Forward: relu([x 1] W1), each H-wide
     slice scaled by the token's gate weight, times W2, plus weights @ B2.
     Tokens run in row blocks of about ``_BLOCK_BYTES`` of hidden layer, so
-    that a block's hidden layer stays in cache, and the blocks run in lanes
-    (:func:`numerics._lanes`) that each write only their own rows. The hidden
-    layer is not kept: the closed-form backward recomputes it block by block;
-    each lane sums its own stacked parameter gradients, the lanes' sums are
-    added in lane order and sliced back to each expert.
+    that a block's hidden layer stays in cache (:func:`numerics._in_blocks`).
+    The hidden layer is not kept: the closed-form backward recomputes it block
+    by block, and the stacked parameter gradients are sliced back to each
+    expert.
     """
     n_exp = len(experts)
     if weights.shape != x.shape[:-1] + (n_exp,):
@@ -72,13 +71,10 @@ def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Te
     w2 = np.concatenate([e.w2.data for e in experts], axis=0)
     b2 = np.stack([e.b2.data for e in experts])
     block = max(1, _BLOCK_BYTES // (8 * n_exp * hid))
-    lanes = _lanes(len(x2), block)
 
-    def buffers(blocks: list[slice], hidden_count: int) -> list[np.ndarray]:
+    def scratch(rows: int, hidden_count: int = 1) -> list[np.ndarray]:
         """A lane's [x 1] block buffer and ``hidden_count`` hidden-layer ones,
-        sized to its first block, which is its largest; made in the calling
-        thread, like every array that outlives a lane (:func:`_in_lanes`)."""
-        rows = blocks[0].stop - blocks[0].start if blocks else 0
+        for blocks of up to ``rows`` rows."""
         x1 = np.empty((rows, width + 1))
         x1[:, width] = 1.0
         return [x1] + [np.empty((rows, n_exp * hid)) for _ in range(hidden_count)]
@@ -101,13 +97,12 @@ def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Te
 
     out = np.empty_like(x2)
 
-    def forward_lane(blocks: list[slice], x1_buf: np.ndarray, h_buf: np.ndarray) -> None:
-        for rows in blocks:
-            h = hidden(load(x1_buf, rows), h_buf)
-            scale(h, rows)
-            np.matmul(h, w2, out=out[rows])
+    def forward_block(rows: slice, x1_buf: np.ndarray, h_buf: np.ndarray) -> None:
+        h = hidden(load(x1_buf, rows), h_buf)
+        scale(h, rows)
+        np.matmul(h, w2, out=out[rows])
 
-    _in_lanes(forward_lane, [(blocks, *buffers(blocks, 1)) for blocks in lanes])
+    _in_blocks(len(x2), block, forward_block, scratch=scratch)
     out += gw @ b2
 
     def back(g: np.ndarray) -> None:
@@ -115,29 +110,26 @@ def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Te
         d_gw = np.empty_like(gw) if weights.requires_grad else None
         dx = np.empty_like(x2) if x.requires_grad else None
 
-        def backward_lane(blocks: list[slice], x1_buf: np.ndarray, h_buf: np.ndarray,
-                          d_buf: np.ndarray, dw1: np.ndarray, dw2: np.ndarray,
-                          part1: np.ndarray, part2: np.ndarray
-                          ) -> tuple[np.ndarray, np.ndarray]:
-            for rows in blocks:
-                x1 = load(x1_buf, rows)
-                h = hidden(x1, h_buf)
-                d = np.matmul(g2[rows], w2.T, out=d_buf[:len(h)])
-                if d_gw is not None:
-                    np.einsum("teh,teh->te", d.reshape(len(d), n_exp, hid),
-                              h.reshape(len(h), n_exp, hid), out=d_gw[rows])
-                d *= h > 0
-                scale(d, rows)
-                scale(h, rows)
-                dw2 += np.matmul(h.T, g2[rows], out=part2)
-                if dx is not None:
-                    np.matmul(d, w1[:width].T, out=dx[rows])
-                dw1 += np.matmul(x1.T, d, out=part1)
-            return dw1, dw2
+        def backward_block(rows: slice, x1_buf: np.ndarray, h_buf: np.ndarray,
+                           d_buf: np.ndarray, part1: np.ndarray, part2: np.ndarray,
+                           dw1: np.ndarray, dw2: np.ndarray) -> None:
+            x1 = load(x1_buf, rows)
+            h = hidden(x1, h_buf)
+            d = np.matmul(g2[rows], w2.T, out=d_buf[:len(h)])
+            if d_gw is not None:
+                np.einsum("teh,teh->te", d.reshape(len(d), n_exp, hid),
+                          h.reshape(len(h), n_exp, hid), out=d_gw[rows])
+            d *= h > 0
+            scale(d, rows)
+            scale(h, rows)
+            dw2 += np.matmul(h.T, g2[rows], out=part2)
+            if dx is not None:
+                np.matmul(d, w1[:width].T, out=dx[rows])
+            dw1 += np.matmul(x1.T, d, out=part1)
 
-        dw1, dw2 = _add_lanes(_in_lanes(backward_lane, [
-            (blocks, *buffers(blocks, 2), np.zeros_like(w1), np.zeros_like(w2),
-             np.empty_like(w1), np.empty_like(w2)) for blocks in lanes]))
+        dw1, dw2 = _in_blocks(
+            len(x2), block, backward_block, sums=(w1.shape, w2.shape),
+            scratch=lambda rows: scratch(rows, 2) + [np.empty_like(w1), np.empty_like(w2)])
         if d_gw is not None:
             d_gw += g2 @ b2.T
             weights._accumulate(d_gw.reshape(weights.shape))

@@ -286,29 +286,36 @@ def _lanes(rows: int, block: int) -> list[list[slice]]:
     return [blocks[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
-def _in_lanes(run, work: list[tuple]) -> list:
-    """``run(*work[i])`` for every lane i, lane 0 in this thread and the rest on
-    ``_POOL``. Returns once every lane has finished, also when one raises:
-    the results in lane order, or the first failure in lane order.
+def _in_blocks(rows: int, block: int, run, sums=(), scratch=lambda rows: ()) -> list:
+    """``run(span, *buffers, *totals)`` on each block ``span`` of ``_lanes(rows,
+    block)``, lane 0 in this thread and the rest on ``_POOL``. Returns once
+    every lane has finished, also when one raises (the first failure in lane
+    order): lane 0's totals, with every other lane's added in lane order.
 
-    Any array that outlives the call is allocated by the caller: a worker
-    thread allocates from its own malloc arena, which cannot reuse the memory
-    this thread has freed."""
-    futures = [_POOL.submit(run, *args) for args in work[1:]]
+    Each lane gets its own ``scratch(rows)`` buffers, sized to its first
+    block, which is its largest, and its own zeroed total of each shape in
+    ``sums``. Every array that outlives a block is allocated in this thread: a
+    worker thread allocates from its own malloc arena, which cannot reuse the
+    memory this thread has freed."""
+    work = [(blocks, scratch(blocks[0].stop - blocks[0].start if blocks else 0),
+             [np.zeros(shape) for shape in sums]) for blocks in _lanes(rows, block)]
+
+    def lane(blocks: list[slice], buffers, totals: list[np.ndarray]) -> None:
+        for span in blocks:
+            run(span, *buffers, *totals)
+
+    futures = [_POOL.submit(lane, *args) for args in work[1:]]
     try:
-        first = run(*work[0])
+        lane(*work[0])
     finally:
         for future in futures:
             future.exception()  # waits for the lane; its failure is raised below
-    return [first] + [future.result() for future in futures]
-
-
-def _add_lanes(sums: list[tuple[np.ndarray, ...]]) -> tuple[np.ndarray, ...]:
-    """Lane 0's gradient sums, with every other lane's added in lane order."""
-    for lane in sums[1:]:
-        for total, part in zip(sums[0], lane):
-            total += part
-    return sums[0]
+    totals = work[0][2]
+    for future, (_, _, part) in zip(futures, work[1:]):
+        future.result()
+        for total, more in zip(totals, part):
+            total += more
+    return totals
 
 
 # -- free functions over tensors ----------------------------------------------
@@ -363,10 +370,8 @@ def layer_norm(x: Tensor, residual: Tensor, gamma: Tensor, beta: Tensor,
     zero mean / unit variance, then affine.
 
     Fused primitive: one graph node with the standard closed-form backward.
-    Rows run in blocks of ``_BLOCK_ROWS`` dealt into lanes (:func:`_lanes`);
-    the node keeps only the normalized rows and their inverse deviations, not
-    the sum. Each lane sums its own gamma and beta gradients, and the lanes'
-    sums are added in lane order.
+    Rows run in blocks of ``_BLOCK_ROWS`` (:func:`_in_blocks`); the node keeps
+    only the normalized rows and their inverse deviations, not the sum.
     """
     if residual.shape != x.shape:
         raise ValueError(f"layer_norm: residual shape {residual.shape} "
@@ -377,39 +382,34 @@ def layer_norm(x: Tensor, residual: Tensor, gamma: Tensor, beta: Tensor,
     out = np.empty_like(x2)
     normed = np.empty_like(x2)
     inv_sigma = np.empty((len(x2), 1))
-    lanes = _lanes(len(x2), _BLOCK_ROWS)
 
-    def forward_lane(blocks: list[slice]) -> None:
-        for rows in blocks:
-            centered = np.add(x2[rows], r2[rows], out=normed[rows])
-            centered -= centered.mean(axis=-1, keepdims=True)
-            var = (centered * centered).mean(axis=-1, keepdims=True)
-            inv_sigma[rows] = (var + eps) ** -0.5
-            centered *= inv_sigma[rows]
-            y = np.multiply(centered, gamma.data, out=out[rows])
-            y += beta.data
+    def forward_block(rows: slice) -> None:
+        centered = np.add(x2[rows], r2[rows], out=normed[rows])
+        centered -= centered.mean(axis=-1, keepdims=True)
+        var = (centered * centered).mean(axis=-1, keepdims=True)
+        inv_sigma[rows] = (var + eps) ** -0.5
+        centered *= inv_sigma[rows]
+        y = np.multiply(centered, gamma.data, out=out[rows])
+        y += beta.data
 
-    _in_lanes(forward_lane, [(blocks,) for blocks in lanes])
+    _in_blocks(len(x2), _BLOCK_ROWS, forward_block)
 
     def back(g: np.ndarray) -> None:
         g2 = g.reshape(-1, width)
         dx = np.empty_like(g2) if x.requires_grad or residual.requires_grad else None
 
-        def backward_lane(blocks: list[slice], d_gamma: np.ndarray,
-                          d_beta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-            for rows in blocks:
-                d_beta += g2[rows].sum(axis=0)
-                d_gamma += (g2[rows] * normed[rows]).sum(axis=0)
-                if dx is not None:
-                    gn = np.multiply(g2[rows], gamma.data, out=dx[rows])
-                    inner = (gn * normed[rows]).mean(axis=-1, keepdims=True)
-                    gn -= gn.mean(axis=-1, keepdims=True)
-                    gn -= normed[rows] * inner
-                    gn *= inv_sigma[rows]
-            return d_gamma, d_beta
+        def backward_block(rows: slice, d_gamma: np.ndarray, d_beta: np.ndarray) -> None:
+            d_beta += g2[rows].sum(axis=0)
+            d_gamma += (g2[rows] * normed[rows]).sum(axis=0)
+            if dx is not None:
+                gn = np.multiply(g2[rows], gamma.data, out=dx[rows])
+                inner = (gn * normed[rows]).mean(axis=-1, keepdims=True)
+                gn -= gn.mean(axis=-1, keepdims=True)
+                gn -= normed[rows] * inner
+                gn *= inv_sigma[rows]
 
-        d_gamma, d_beta = _add_lanes(_in_lanes(backward_lane, [
-            (blocks, np.zeros(width), np.zeros(width)) for blocks in lanes]))
+        d_gamma, d_beta = _in_blocks(len(x2), _BLOCK_ROWS, backward_block,
+                                     sums=(width, width))
         if beta.requires_grad:
             beta._accumulate(d_beta)
         if gamma.requires_grad:

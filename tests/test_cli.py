@@ -326,6 +326,20 @@ class TestEval:
         assert code == 2
         assert f"line {len(lines)}: non-finite" in capsys.readouterr().err
 
+    def test_zero_target_under_negative_threshold_exit_code(self, workspace, capsys):
+        out = train_run(workspace)
+        flows = workspace / "data" / "flows.txt"
+        lines = flows.read_text().splitlines(keepends=True)
+        lines[-1] = ",".join(["0.0"] * len(lines[-1].split(","))) + "\n"
+        flows.write_text("".join(lines))
+        code = main(["eval", "--checkpoint", str(out / "model.ckpt"),
+                     "--data", str(workspace / "data"), "--split", "test",
+                     "--threshold", "-1", "--out", str(workspace / "report.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: MAPE is undefined: 1 of ")
+        assert not (workspace / "report.txt").exists()
+
     def test_node_count_mismatch(self, workspace, tmp_path, capsys):
         out = train_run(workspace)
         (tmp_path / "other.txt").write_text(

@@ -248,6 +248,11 @@ class TestMetrics:
         with pytest.raises(ValueError, match="shape"):
             metrics(np.zeros(3), np.zeros(4), 0.0)
 
+    def test_zero_target_under_negative_threshold_rejected(self):
+        y = np.array([2.0, 0.0, -0.5, 0.0])
+        with pytest.raises(ValueError, match="MAPE is undefined: 2 of 4 targets"):
+            metrics(y, np.ones(4), -1.0)
+
 
 class TestFlowFiles:
     def test_minimal_parse(self, tmp_path):

@@ -1,5 +1,8 @@
+import ast
 import io
+import pathlib
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -219,6 +222,67 @@ class TestLayerNormLanes:
                 return (layer_norm(*tensors) * weights).sum()
 
             assert finite_difference_check(fwd, store) < 1e-5, probed
+
+
+class TestBlockRunner:
+    # 8 rows in blocks of 2: lanes [0:2, 2:4] and [4:6, 6:8], lane 1 on the pool
+
+    def test_scratch_is_made_in_the_calling_thread(self):
+        made, ran = [], []
+
+        def scratch(rows):
+            made.append((threading.get_ident(), rows))
+            return [np.empty(rows)]
+
+        def run(rows, buf):
+            assert len(buf) == rows.stop - rows.start
+            ran.append(threading.get_ident())
+
+        numerics._in_blocks(8, 2, run, scratch=scratch)
+        assert made == [(threading.get_ident(), 2)] * 2
+        assert len(ran) == 4 and len(set(ran)) == 2  # one lane ran on the pool
+
+    @pytest.mark.parametrize("pool", [None, InlinePool, DeferredPool])
+    def test_totals_are_lane_0_plus_lane_1(self, monkeypatch, pool):
+        if pool is not None:
+            monkeypatch.setattr(numerics, "_POOL", pool())
+        parts = {0: 1e16, 2: 1.0, 4: 1.0, 6: 1.0}
+
+        def run(rows, total, pair):
+            total += parts[rows.start]
+            pair += parts[rows.start]
+
+        total, pair = numerics._in_blocks(8, 2, run, sums=((), 2))
+        lane0 = (0.0 + 1e16) + 1.0
+        lane1 = (0.0 + 1.0) + 1.0
+        assert lane0 + lane1 != ((lane0 + 1.0) + 1.0)  # the grouping shows
+        assert total.tobytes() == np.float64(lane0 + lane1).tobytes()
+        assert pair.tobytes() == np.full(2, lane0 + lane1).tobytes()
+
+    def test_no_rows_returns_zeroed_totals(self):
+        def run(rows, *arrays):
+            raise AssertionError("no block to run")
+
+        totals = numerics._in_blocks(0, 4, run, sums=(3, (2, 2)),
+                                     scratch=lambda rows: [np.empty(rows)])
+        assert [t.shape for t in totals] == [(3,), (2, 2)]
+        assert not any(t.any() for t in totals)
+
+
+def test_only_numerics_names_the_lane_split():
+    # the lane pool and the lane split are numerics' own: every other module
+    # runs its blocks through numerics._in_blocks
+    lane_names = {"_POOL", "_lanes", "_LANES", "_LANE_BLOCKS"}
+    package = pathlib.Path(numerics.__file__).parent
+    named = {}
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in lane_names:
+                named.setdefault(path.name, set()).add(name)
+    assert set(named) == {"numerics.py"}, named
 
 
 class TestBackward:
