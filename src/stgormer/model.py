@@ -426,7 +426,8 @@ def load_model(path) -> StgormerModel:
     Config fields missing from the checkpoint take their defaults. The magic
     line is checked first, then the CRC-32 trailer against every byte before
     it, and only then is the body parsed. A damaged file is reported as
-    ``corrupt checkpoint: …`` whatever byte was hit.
+    ``corrupt checkpoint: …`` whatever byte was hit, and so is a non-finite
+    parameter or normalizer value, which a valid checksum does not rule out.
     """
     from .data import Normalizer
 
@@ -479,6 +480,9 @@ def load_model(path) -> StgormerModel:
     if kv.decode(True, required("normalizer", "present")):
         mean, std = (np.array([float(x) for x in required("normalizer", key).split(",")])
                      for key in ("mean", "std"))
+        for key, value in (("mean", mean), ("std", std)):
+            if not np.isfinite(value).all():
+                raise ValueError(f"corrupt checkpoint: non-finite values in normalizer {key!r}")
         normalizer = Normalizer(mean=mean, std=std)
 
     model = StgormerModel(config, graph, values)

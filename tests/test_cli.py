@@ -12,7 +12,7 @@ import pytest
 from stgormer.cli import load_run_config, main
 from stgormer.data import load_flows, load_timestamps, save_timestamps, write_flow_tensor
 from stgormer.graph import load_graph, shortest_path_matrix
-from stgormer.model import load_model
+from stgormer.model import load_model, save_model
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -61,6 +61,18 @@ def train_run(ws, out="run", extra=()):
             "--data", str(ws / "data"), "--out", str(ws / out)] + list(extra)
     assert main(args) == 0
     return ws / out
+
+
+def nan_checkpoint(ckpt, where):
+    """Rewrites ``ckpt`` through save_model, with a valid checksum, after
+    setting head.b[0] (``where="param"``) or the normalizer's std to nan."""
+    model = load_model(ckpt)
+    if where == "param":
+        model.store["head.b"].data[0] = np.nan
+    else:
+        model.normalizer.std[0] = np.nan
+    save_model(model, ckpt)
+    return ckpt
 
 
 class TestSynth:
@@ -340,6 +352,17 @@ class TestEval:
         assert err.startswith("error: MAPE is undefined: 1 of ")
         assert not (workspace / "report.txt").exists()
 
+    @pytest.mark.parametrize("where, named", [
+        ("param", "parameter 'head.b'"), ("std", "normalizer 'std'")])
+    def test_non_finite_checkpoint_exit_code(self, workspace, capsys, where, named):
+        # the checksum is valid, so only the value check stops a nan forecast
+        ckpt = nan_checkpoint(train_run(workspace) / "model.ckpt", where)
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace / "data"),
+                     "--out", str(workspace / "report.txt")])
+        assert code == 2
+        assert f"corrupt checkpoint: non-finite values in {named}" in capsys.readouterr().err
+        assert not (workspace / "report.txt").exists()
+
     def test_node_count_mismatch(self, workspace, tmp_path, capsys):
         out = train_run(workspace)
         (tmp_path / "other.txt").write_text(
@@ -445,6 +468,17 @@ class TestPredict:
                          "--window", str(window), "--timestamps", str(wts),
                          "--out", str(f)]) == 0
         assert f1.read_bytes() == f2.read_bytes()
+
+    def test_non_finite_checkpoint_exit_code(self, workspace, capsys):
+        ckpt = nan_checkpoint(train_run(workspace) / "model.ckpt", "param")
+        window, wts, _, _ = self.make_window(workspace, 6)
+        forecast = workspace / "forecast.txt"
+        code = main(["predict", "--checkpoint", str(ckpt), "--window", str(window),
+                     "--timestamps", str(wts), "--out", str(forecast)])
+        assert code == 2
+        assert ("corrupt checkpoint: non-finite values in parameter 'head.b'"
+                in capsys.readouterr().err)
+        assert not forecast.exists()
 
     def test_wrong_window_length(self, workspace, capsys):
         out = train_run(workspace)

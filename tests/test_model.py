@@ -1,5 +1,5 @@
 import dataclasses
-import tracemalloc
+import re
 import zlib
 
 import numpy as np
@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from traced_memory import kept_bytes, peak_bytes, tracing
 import stgormer.model
 from stgormer.data import Normalizer
 from stgormer.graph import SpatioTemporalGraph, relabel
 from stgormer.model import (StgormerConfig, build, load_model, loss,
                             save_model)
-from stgormer.numerics import Tensor, finite_difference_check
+from stgormer.numerics import Tensor, backward, finite_difference_check
 
 
 def small_graph(n=6, seed=2, prob=0.35):
@@ -315,34 +316,46 @@ class TestFrozenInference:
         x = rng.normal(size=(32, cfg.input_len, 12, cfg.channels))
         ts = rng.uniform(0, 1, size=(32, cfg.input_len, cfg.temporal_features))
         with model.store.frozen():
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                pred, usage = model.forward_batch(x, ts)
-                kept = tracemalloc.get_traced_memory()[0] - before
-            finally:
-                tracemalloc.stop()
+            (pred, usage), kept = kept_bytes(lambda: model.forward_batch(x, ts))
         assert kept < 2 ** 20, f"{kept / 2 ** 20:.1f} MiB live after a frozen forward"
         assert not pred.requires_grad and not any(u.requires_grad for u in usage)
 
     def test_recorded_default_batch_retains_under_150_mib(self):
         # the graph a training step keeps until backward: attention keeps only
-        # its input and probabilities, the residual layer norm its normalized
-        # rows, not the sum (the unfused graph kept about 236 MiB)
+        # its input and probabilities, the residual layer norm its row means
+        # and inverse deviations, not the sum (the unfused graph kept about
+        # 236 MiB)
         cfg = StgormerConfig()
         model = build(cfg, small_graph(n=12, seed=5, prob=0.3))
         rng = np.random.default_rng(3)
         x = rng.normal(size=(32, cfg.input_len, 12, cfg.channels))
         ts = rng.uniform(0, 1, size=(32, cfg.input_len, cfg.temporal_features))
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            pred, _ = model.forward_batch(x, ts)
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        (pred, _), kept = kept_bytes(lambda: model.forward_batch(x, ts))
         assert pred.requires_grad
         assert kept < 150 * 2 ** 20, f"{kept / 2 ** 20:.1f} MiB live after a recorded forward"
+
+    def test_default_step_keeps_under_95_mib_and_backward_frees_as_it_runs(self):
+        # about 84 MiB of graph (110 when each post-norm kept its normalized
+        # rows); backward releases each node once it has run and peaks at
+        # about 1.15 times the graph (1.75 when every interior gradient lived
+        # until backward returned)
+        cfg = StgormerConfig()
+        model = build(cfg, small_graph(n=12, seed=5, prob=0.3))
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=(32, cfg.input_len, 12, cfg.channels))
+        ts = rng.uniform(0, 1, size=(32, cfg.input_len, cfg.temporal_features))
+        y = rng.normal(size=(32, cfg.horizon, 12, cfg.channels))
+
+        def forward():
+            pred, usage = model.forward_batch(x, ts)
+            return loss(pred, y, usage, cfg.alpha)[0]
+
+        with tracing():
+            total, kept = kept_bytes(forward)
+            _, extra = peak_bytes(lambda: backward(total, model.store))
+        assert kept < 95 * 2 ** 20, f"{kept / 2 ** 20:.1f} MiB live after a recorded forward"
+        assert kept + extra < 1.35 * kept, (
+            f"backward peaks at {(kept + extra) / kept:.2f} times the recorded graph")
 
     def test_frozen_default_batch_peak(self):
         # each block's attention, norm and feedforward outputs are freed once
@@ -355,12 +368,7 @@ class TestFrozenInference:
         x = rng.normal(size=(32, cfg.input_len, 12, cfg.channels))
         ts = rng.uniform(0, 1, size=(32, cfg.input_len, cfg.temporal_features))
         with model.store.frozen():
-            tracemalloc.start()
-            try:
-                model.forward_batch(x, ts)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peak = peak_bytes(lambda: model.forward_batch(x, ts))
         assert peak < 12 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB at peak"
 
     def test_frozen_forward_is_bitwise_the_recorded_one(self):
@@ -397,6 +405,24 @@ class TestFullGradient:
             return total
 
         assert finite_difference_check(fwd, model.store, max_coords=120) < 1e-4
+
+    def test_backward_releases_every_interior_node(self):
+        cfg = small_config()
+        g = small_graph()
+        model = build(cfg, g)
+        x, ts, y = sample_inputs(cfg, g.num_nodes, seed=5)
+        pred, usage = model.forward_batch(x[None], ts[None])
+        total, _ = loss(pred, y[None], usage, cfg.alpha)
+        interior, stack = {}, [total]
+        while stack:
+            node = stack.pop()
+            if node._backward_fn is not None and id(node) not in interior:
+                interior[id(node)] = node
+                stack.extend(node._prev)
+        backward(total, model.store)
+        assert len(interior) > 50
+        assert all(n.grad is None and n._backward_fn is None for n in interior.values())
+        assert all(t.grad is not None for _, t in model.store.items())
 
 
 class TestCheckpoint:
@@ -554,6 +580,22 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=r"checkpoint incompatible with its config: "
                            r"missing=\['blocks\.00\.temporal.*"
                            r"unexpected=\['blocks\.00\.spatial"):
+            load_model(p)
+
+    def test_non_finite_values_rejected_naming_the_first_path(self, tmp_path):
+        p = tmp_path / "model.ckpt"
+        model = build(small_config(), small_graph())
+        paths = model.store.paths()
+        model.store[paths[-1]].data.flat[0] = np.nan
+        model.store[paths[1]].data.flat[-1] = -np.inf
+        save_model(model, p)
+        with pytest.raises(ValueError, match=re.escape(
+                f"corrupt checkpoint: non-finite values in parameter '{paths[1]}'")):
+            load_model(p)
+        model.store[paths[-1]].data.flat[0] = model.store[paths[1]].data.flat[-1] = 0.0
+        model.normalizer = Normalizer(mean=np.array([np.inf]), std=np.array([1.0]))
+        save_model(model, p)
+        with pytest.raises(ValueError, match="non-finite values in normalizer 'mean'"):
             load_model(p)
 
     def test_parameter_shapes_not_matching_the_config_rejected(self, tmp_path):

@@ -1,7 +1,6 @@
 import sys
 import threading
 import time
-import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -10,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lane_pools import DeferredPool, InlinePool
+from traced_memory import kept_bytes
 from stgormer import moe, numerics
 from stgormer.moe import (_BLOCK_BYTES, ExpertParams, RouterParams, dense_mixture,
                           expert_forward, gate, load_balance_loss, moe_forward)
@@ -189,13 +189,7 @@ class TestDenseMixture:
                 t.requires_grad = True
         x = Tensor(rng.normal(size=(tokens, width)), requires_grad=True)
         weights = Tensor(rng.dirichlet(np.ones(count), size=tokens), requires_grad=True)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            out = dense_mixture(x, weights, experts)
-            kept = tracemalloc.get_traced_memory()[0] - before
-        finally:
-            tracemalloc.stop()
+        out, kept = kept_bytes(lambda: dense_mixture(x, weights, experts))
         assert out.requires_grad
         assert kept < tokens * count * hidden * 8 / 4
 

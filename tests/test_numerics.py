@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lane_pools import DeferredPool, InlinePool
+from traced_memory import kept_bytes
 from stgormer import numerics
 from stgormer.numerics import (AdamState, ParameterStore, Tensor, _lanes, adam_step,
                                backward, concat, finite_difference_check,
@@ -127,6 +128,19 @@ class TestLayerNorm:
         var = out.data.var(axis=-1)
         assert np.max(np.abs(mean)) < 1e-10
         assert np.max(np.abs(var - 1.0)) < 1e-6
+
+    def test_recorded_node_keeps_no_normalized_rows(self):
+        # the node keeps each row's mean and inverse deviation; its backward
+        # recomputes the normalized rows from x and the residual
+        rng = np.random.default_rng(6)
+        rows, width = 4096, 64
+        x = Tensor(rng.normal(size=(rows, width)), requires_grad=True)
+        f = Tensor(rng.normal(size=(rows, width)), requires_grad=True)
+        gamma = Tensor(rng.normal(size=width), requires_grad=True)
+        beta = Tensor(rng.normal(size=width), requires_grad=True)
+        out, kept = kept_bytes(lambda: layer_norm(x, f, gamma, beta))
+        assert out.requires_grad
+        assert kept - out.data.nbytes < rows * width * 8
 
     def test_residual_shape_checked(self):
         with pytest.raises(ValueError, match="residual shape"):
@@ -333,12 +347,31 @@ class TestBackward:
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
         s = a + b
+        received = []
+        back = s._backward_fn
+        s._backward_fn = lambda g: (received.append(g), back(g))
         via_sum = (s * np.array([1.0, 10.0])).sum()
         direct = (a * 100.0).sum() + (b * 1000.0).sum()
         (via_sum + direct if sum_first else direct + via_sum).backward()
-        assert s.grad.tolist() == [1.0, 10.0]
+        # backward releases s's gradient; the buffer it handed on must be intact
+        assert received[0].tolist() == [1.0, 10.0]
         assert a.grad.tolist() == [101.0, 110.0]
         assert b.grad.tolist() == [1001.0, 1010.0]
+
+    def test_second_backward_raises(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        loss = (a * a).sum()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="earlier backward consumed"):
+            loss.backward()
+        assert a.grad.tolist() == [2.0, 4.0]
+
+    def test_new_loss_on_a_consumed_node_raises(self):
+        a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        h = a * a
+        h.sum().backward()
+        with pytest.raises(RuntimeError, match="earlier backward consumed"):
+            (h * 3.0).sum().backward()
 
 
 class TestFrozenStore:

@@ -1,9 +1,9 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from traced_memory import peak_bytes
 from stgormer.data import (FlowDataset, SyntheticSpec, fit_normalizer, make_windows,
                            metrics, split, synthesize)
 from stgormer.model import StgormerConfig, build, load_model, loss, save_model
@@ -282,12 +282,7 @@ class TestEvaluate:
         def eval_peak(batches):
             steps = span + 16 * batches
             part = FlowDataset(ds.flows[:steps], ds.timestamps[:steps], ds.graph)
-            tracemalloc.start()
-            try:
-                evaluate(model, part, 0.0, batch_size=16)
-                return tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            return peak_bytes(lambda: evaluate(model, part, 0.0, batch_size=16))[1]
 
         one, three = eval_peak(1), eval_peak(3)
         assert three <= 1.5 * one, f"peak {three} B over 3 batches vs {one} B over 1"
