@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import SpdMatrix, UNREACHABLE
-from .numerics import _BLOCK_ROWS, Tensor, _in_blocks, gather_rows
+from .numerics import _BLOCK_ROWS, Tensor, _in_blocks
 
 
 @dataclass
@@ -46,7 +46,7 @@ def spd_bucket_indices(spd: SpdMatrix, max_spd: int) -> np.ndarray:
 
 def spd_bias(spd: SpdMatrix, table: Tensor, max_spd: int) -> Tensor:
     """Realize the N x N additive attention bias from the bucket table."""
-    return gather_rows(table, spd_bucket_indices(spd, max_spd))
+    return table[spd_bucket_indices(spd, max_spd)]
 
 
 def scaled_dot_attention(x: Tensor, params: AttentionParams,
@@ -170,9 +170,7 @@ def scaled_dot_attention(x: Tensor, params: AttentionParams,
 
 def temporal_attention(h: Tensor, params: AttentionParams) -> Tensor:
     """Attend along time independently per node; input (..., T, N, D)."""
-    *lead, t, n, d = h.shape
-    if len(lead) == 1:
-        return scaled_dot_attention(h, params)
+    t, n, d = h.shape[-3:]
     return scaled_dot_attention(h.reshape(-1, t, n, d), params).reshape(h.shape)
 
 

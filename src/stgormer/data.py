@@ -97,18 +97,17 @@ def split(ds: FlowDataset) -> tuple[FlowDataset, FlowDataset, FlowDataset]:
             piece(n_train + n_val, t))
 
 
-def make_windows(ds: FlowDataset, input_len: int, horizon: int,
-                 stride: int = 1) -> list[WindowSample]:
-    """Slide a contiguous (input, target) window pair across the dataset."""
-    if input_len < 1 or horizon < 1 or stride < 1:
-        raise ValueError("input_len, horizon, and stride must be >= 1")
+def make_windows(ds: FlowDataset, input_len: int, horizon: int) -> list[WindowSample]:
+    """Slide a contiguous (input, target) window pair across the dataset, one step at a time."""
+    if input_len < 1 or horizon < 1:
+        raise ValueError("input_len and horizon must be >= 1")
     t = ds.num_steps
     if t < input_len + horizon:
         raise ValueError(
             f"split of {t} steps is too short for input_len={input_len} "
             f"plus horizon={horizon}")
     samples = []
-    for start in range(0, t - input_len - horizon + 1, stride):
+    for start in range(t - input_len - horizon + 1):
         mid = start + input_len
         samples.append(WindowSample(
             x=ds.flows[start:mid],

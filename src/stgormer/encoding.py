@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import SpatioTemporalGraph, degrees
-from .numerics import Tensor, concat, gather_rows, linear
+from .numerics import Tensor, concat, linear
 
 
 @dataclass
@@ -76,7 +76,7 @@ def spatial_input_encoding(g: SpatioTemporalGraph,
     cap = tables.max_degree + 1
     in_idx = np.minimum(indeg, cap)
     out_idx = np.minimum(outdeg, cap)
-    return gather_rows(tables.z_minus, in_idx) + gather_rows(tables.z_plus, out_idx)
+    return tables.z_minus[in_idx] + tables.z_plus[out_idx]
 
 
 def fuse_inputs(

@@ -2,9 +2,9 @@
 
 Routing is dense: every expert runs on every token and outputs are combined
 with the gate's softmax weights, so the balance loss stays differentiable.
-The experts run as one stacked primitive (:func:`dense_mixture`) over row
-blocks of tokens, split into lanes that run on two threads; their parameters
-stay separate tensors and are stacked on every call.
+The experts, or a lone expert when the MoE is off, run as one stacked
+primitive (:func:`dense_mixture`) over row blocks of tokens, split into lanes
+on two threads; their parameters stay separate tensors, stacked on every call.
 """
 from __future__ import annotations
 
@@ -37,10 +37,6 @@ class RouterParams:
 
     w: Tensor
     b: Tensor
-
-
-def expert_forward(x: Tensor, expert: ExpertParams) -> Tensor:
-    return linear(linear(x, expert.w1, expert.b1).relu(), expert.w2, expert.b2)
 
 
 def gate(x: Tensor, router: RouterParams) -> Tensor:
@@ -146,6 +142,11 @@ def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Te
 
     params = [p for e in experts for p in (e.w1, e.b1, e.w2, e.b2)]
     return Tensor._result(out.reshape(x.shape), (x, weights, *params), back)
+
+
+def expert_forward(x: Tensor, expert: ExpertParams) -> Tensor:
+    """One expert alone: :func:`dense_mixture` of ``[expert]`` under a unit gate."""
+    return dense_mixture(x, Tensor(np.ones(x.shape[:-1] + (1,))), [expert])
 
 
 def moe_forward(x: Tensor, experts: list[ExpertParams],

@@ -28,7 +28,6 @@ __all__ = [
     "layer_norm",
     "softmax",
     "concat",
-    "gather_rows",
     "write_param_block",
     "read_param_block",
 ]
@@ -177,19 +176,19 @@ class Tensor:
 
     # -- reductions and shape ops --------------------------------------------
 
-    def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        data = self.data.sum(axis=axis, keepdims=keepdims)
+    def sum(self, axis=None) -> "Tensor":
+        data = self.data.sum(axis=axis)
         in_shape = self.data.shape
 
         def back(g: np.ndarray) -> None:
-            if axis is not None and not keepdims:
+            if axis is not None:
                 g = np.expand_dims(g, axis)
             self._accumulate(np.broadcast_to(g, in_shape).copy())
 
         return Tensor._result(data, (self,), back)
 
-    def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
-        total = self.sum(axis=axis, keepdims=keepdims)
+    def mean(self, axis=None) -> "Tensor":
+        total = self.sum(axis=axis)
         # an exact integer ratio, correctly rounded: the bits of 1 / count
         return total * (total.data.size / self.data.size)
 
@@ -237,15 +236,6 @@ class Tensor:
         return Tensor._result(np.array(data), (self,), back)
 
     # -- elementwise nonlinearities -------------------------------------------
-
-    def relu(self) -> "Tensor":
-        mask = self.data > 0
-        data = np.maximum(self.data, 0.0)
-
-        def back(g: np.ndarray) -> None:
-            self._accumulate(g * mask)
-
-        return Tensor._result(data, (self,), back)
 
     def sin(self) -> "Tensor":
         data = np.sin(self.data)
@@ -344,8 +334,8 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return Tensor._result(out_data, (x,), back)
 
 
-def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
-    """Affine map over the trailing axis: x @ weight + bias (no bias if None).
+def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """Affine map over the trailing axis: x @ weight + bias.
 
     Fused primitive: one flattened GEMM forward, two GEMMs plus a column
     reduction backward.
@@ -358,8 +348,7 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
     w = weight.data
     x2 = x.data.reshape(-1, x.shape[-1])
     out = x2 @ w
-    if bias is not None:
-        out += bias.data
+    out += bias.data
 
     def back(g: np.ndarray) -> None:
         g2 = g.reshape(-1, w.shape[1])
@@ -367,11 +356,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor | None) -> Tensor:
             x._accumulate((g2 @ w.T).reshape(x.data.shape))
         if weight.requires_grad:
             weight._accumulate(x2.T @ g2)
-        if bias is not None and bias.requires_grad:
+        if bias.requires_grad:
             bias._accumulate(g2.sum(axis=0))
 
-    parents = (x, weight) if bias is None else (x, weight, bias)
-    return Tensor._result(out.reshape(lead + (w.shape[1],)), parents, back)
+    return Tensor._result(out.reshape(lead + (w.shape[1],)), (x, weight, bias), back)
 
 
 def layer_norm(x: Tensor, residual: Tensor, gamma: Tensor, beta: Tensor,
@@ -455,25 +443,6 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
     return Tensor._result(data, tensors, back)
 
 
-def gather_rows(table: Tensor, indices: np.ndarray) -> Tensor:
-    """Embedding lookup: result[pos] = table[indices[pos]].
-
-    ``indices`` is a fixed integer array; gradients scatter-add back into the
-    table so repeated indices accumulate.
-    """
-    idx = np.asarray(indices)
-    if not np.issubdtype(idx.dtype, np.integer):
-        raise TypeError("gather_rows expects integer indices")
-    data = table.data[idx]
-
-    def back(g: np.ndarray) -> None:
-        buf = np.zeros_like(table.data)
-        np.add.at(buf, idx, g)
-        table._accumulate(buf)
-
-    return Tensor._result(data, (table,), back)
-
-
 # -- parameters -----------------------------------------------------------------
 
 
@@ -520,10 +489,6 @@ class ParameterStore:
 
     def items(self) -> list[tuple[str, Tensor]]:
         return [(p, self._params[p]) for p in self.paths()]
-
-    def zero_grad(self) -> None:
-        for t in self._params.values():
-            t.grad = np.zeros_like(t.data)
 
     def num_values(self) -> int:
         """Total scalar parameter count."""

@@ -152,11 +152,11 @@ def test_criterion_04_ablation_bit_equivalences():
         m_no_s.degree_tables.z_plus.data[:] -= 4.0
         assert np.array_equal(m_no_s.forward(x, ts).data, base)
 
-        # (d) single-expert soft mixture == plain feedforward path
+        # (d) single-expert soft mixture == plain feedforward path, bitwise:
+        # both run one fused feedforward node, under a gate of exactly 1.0
         m_one = build(desk_config(use_moe=True, experts=1), g)
         m_plain = build(desk_config(use_moe=False), g)
-        assert np.max(np.abs(m_one.forward(x, ts).data
-                             - m_plain.forward(x, ts).data)) < 1e-12
+        assert np.array_equal(m_one.forward(x, ts).data, m_plain.forward(x, ts).data)
         assert m_plain.forward_batch(x[None], ts[None])[1] == []
 
 

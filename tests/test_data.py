@@ -75,10 +75,6 @@ class TestMakeWindows:
         for sample in make_windows(ds, 4, 2):
             assert sample.y[0, 0, 0] == sample.x[-1, 0, 0] + ds.num_nodes * 2
 
-    def test_stride(self):
-        ds = counting_dataset(12)
-        assert len(make_windows(ds, 4, 1, stride=3)) == 3
-
     def test_too_short_rejected(self):
         with pytest.raises(ValueError, match="too short"):
             make_windows(counting_dataset(5), 8, 1)

@@ -10,10 +10,10 @@ from hypothesis import strategies as st
 
 from lane_pools import DeferredPool, InlinePool
 from traced_memory import kept_bytes
-from stgormer import moe, numerics
-from stgormer.moe import (_BLOCK_BYTES, ExpertParams, RouterParams, dense_mixture,
-                          expert_forward, gate, load_balance_loss, moe_forward)
-from stgormer.numerics import ParameterStore, Tensor, _lanes, finite_difference_check
+from stgormer import model, moe, numerics
+from stgormer.moe import (_BLOCK_BYTES, ExpertParams, RouterParams, dense_mixture, gate,
+                          load_balance_loss, moe_forward)
+from stgormer.numerics import ParameterStore, Tensor, _lanes, finite_difference_check, linear
 
 
 def make_expert(rng, width, hidden, store=None, prefix="expert"):
@@ -26,6 +26,13 @@ def make_expert(rng, width, hidden, store=None, prefix="expert"):
         b1=reg("b1", rng.uniform(-s1, s1, hidden)),
         w2=reg("w2", rng.uniform(-s2, s2, (hidden, width))),
         b2=reg("b2", rng.uniform(-s2, s2, width)))
+
+
+def unfused_expert(x, expert):
+    """One expert as a graph of engine ops: linear, relu, linear. The relu is
+    a product with a constant mask, whose gradient is the relu's."""
+    a = linear(x, expert.w1, expert.b1)
+    return linear(a * Tensor(a.data > 0), expert.w2, expert.b2)
 
 
 def make_router(rng, width, experts, store=None, prefix="router"):
@@ -75,7 +82,7 @@ class TestMoEForward:
         router = make_router(rng, 4, 1)
         x = Tensor(rng.normal(size=(5, 4)))
         mixed = moe_forward(x, [expert], router)[0].data
-        plain = expert_forward(x, expert).data
+        plain = unfused_expert(x, expert).data
         assert np.max(np.abs(mixed - plain)) < 1e-12
 
     def test_identical_experts_ignore_gate(self):
@@ -86,8 +93,21 @@ class TestMoEForward:
         router = make_router(rng, 4, 3)
         x = Tensor(rng.normal(size=(5, 4)))
         mixed = moe_forward(x, clones, router)[0].data
-        single = expert_forward(x, expert).data
+        single = unfused_expert(x, expert).data
         assert np.max(np.abs(mixed - single)) < 1e-12
+
+    def test_expert_forward_is_one_node(self):
+        # the model's feedforward without the MoE: the fused node itself,
+        # whose parents are x and the expert's parameters
+        rng = np.random.default_rng(58)
+        expert = make_expert(rng, 4, 8)
+        params = (expert.w1, expert.b1, expert.w2, expert.b2)
+        for t in params:
+            t.requires_grad = True
+        x = Tensor(rng.normal(size=(2, 5, 4)), requires_grad=True)
+        out = model.expert_forward(x, expert)
+        assert out._prev == (x,) + params
+        assert np.max(np.abs(out.data - unfused_expert(x, expert).data)) < 1e-12
 
     def test_matches_weighted_sum_oracle(self):
         rng = np.random.default_rng(56)
@@ -123,7 +143,7 @@ def loop_mixture(x, weights, experts):
     """Per-expert reference: sum_i weights[..., i] * expert_i(x) from engine ops."""
     out = None
     for i, expert in enumerate(experts):
-        term = weights[..., i:i + 1] * expert_forward(x, expert)
+        term = weights[..., i:i + 1] * unfused_expert(x, expert)
         out = term if out is None else out + term
     return out
 
