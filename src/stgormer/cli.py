@@ -100,9 +100,9 @@ def load_synth_spec(path) -> SyntheticSpec:
     """Parse and validate a synthetic spec file, listing every bad field."""
     errors: list[str] = []
     spec = kv.overlay(SyntheticSpec(), kv.read_file(path), errors)
+    errors.extend(spec.validate())
     if errors:
         raise ValueError("synth spec: " + "; ".join(errors))
-    spec.validate()
     return spec
 
 

@@ -7,7 +7,7 @@ nearby nodes correlate, plus Gaussian noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,23 +147,26 @@ class SyntheticSpec:
     diffusion_rounds: int = 1
     noise_std: float = 0.1
 
-    def validate(self) -> None:
+    def validate(self) -> list[str]:
+        """Collect every violation (not just the first)."""
+        errors = []
         if self.num_nodes < 1 or self.total_steps < 1 or self.channels < 1:
-            raise ValueError("num_nodes, total_steps, and channels must be >= 1")
+            errors.append("num_nodes, total_steps, and channels must be >= 1")
         if not (0.0 <= self.edge_prob <= 1.0):
-            raise ValueError("edge_prob must lie in [0, 1]")
+            errors.append("edge_prob must lie in [0, 1]")
         if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+            errors.append("seed must be >= 0")
         if (self.daily_period < 1 or self.weekly_period < 1
                 or self.weekly_period % self.daily_period != 0):
-            raise ValueError("weekly_period must be a positive multiple of daily_period")
+            errors.append("weekly_period must be a positive multiple of daily_period")
         for name in ("amplitude_range", "phase_range", "weekly_amplitude_range"):
             lo, hi = getattr(self, name)
             # the sign bit, as numpy's uniform checks it: (0.0, -0.0) is empty too
             if np.signbit(hi - lo):
-                raise ValueError(f"{name} is empty: ({lo}, {hi})")
+                errors.append(f"{name} is empty: ({lo}, {hi})")
         if self.diffusion_rounds < 0 or self.noise_std < 0:
-            raise ValueError("diffusion_rounds and noise_std must be non-negative")
+            errors.append("diffusion_rounds and noise_std must be non-negative")
+        return errors
 
 
 def random_graph(num_nodes: int, edge_prob: float, seed: int) -> SpatioTemporalGraph:
@@ -198,28 +201,25 @@ def _diffuse(series: np.ndarray, graph: SpatioTemporalGraph, rounds: int) -> np.
     return out
 
 
-def _noiseless_signal(spec: SyntheticSpec, graph: SpatioTemporalGraph) -> np.ndarray:
-    rng = np.random.default_rng(spec.seed)
-    n, c = spec.num_nodes, spec.channels
-    amp = rng.uniform(*spec.amplitude_range, size=(n, c))
-    phase = rng.uniform(*spec.phase_range, size=(n, c))
-    wamp = rng.uniform(*spec.weekly_amplitude_range, size=(n, c))
-    wphase = rng.uniform(*spec.phase_range, size=(n, c))
-    t = np.arange(spec.total_steps).reshape(-1, 1, 1)
-    daily = np.sin(2.0 * np.pi * t / spec.daily_period + phase)
-    weekly = 1.0 + wamp * np.sin(2.0 * np.pi * t / spec.weekly_period + wphase)
-    signal = spec.base_flow + amp * daily * weekly
-    return _diffuse(signal, graph, spec.diffusion_rounds)
-
-
 def synthesize(spec: SyntheticSpec) -> FlowDataset:
     """Generate a seeded synthetic dataset with daily and weekly seasonality."""
-    spec.validate()
+    errors = spec.validate()
+    if errors:
+        raise ValueError("invalid synthetic spec: " + "; ".join(errors))
     graph = random_graph(spec.num_nodes, spec.edge_prob, spec.seed)
+    rng = np.random.default_rng(spec.seed)
+    n, c = spec.num_nodes, spec.channels
+    t = np.arange(spec.total_steps).reshape(-1, 1, 1)
     # finite knobs can still overflow: reported below, as the flow reader
     # rejects what is not finite
     with np.errstate(over="ignore", invalid="ignore"):
-        signal = _noiseless_signal(spec, graph)
+        amp = rng.uniform(*spec.amplitude_range, size=(n, c))
+        phase = rng.uniform(*spec.phase_range, size=(n, c))
+        wamp = rng.uniform(*spec.weekly_amplitude_range, size=(n, c))
+        wphase = rng.uniform(*spec.phase_range, size=(n, c))
+        daily = np.sin(2.0 * np.pi * t / spec.daily_period + phase)
+        weekly = 1.0 + wamp * np.sin(2.0 * np.pi * t / spec.weekly_period + wphase)
+        signal = _diffuse(spec.base_flow + amp * daily * weekly, graph, spec.diffusion_rounds)
         if spec.noise_std > 0:
             # separate stream so graph/parameter draws stay stable across noise levels
             noise_rng = np.random.default_rng((spec.seed, 1))
@@ -230,19 +230,6 @@ def synthesize(spec: SyntheticSpec) -> FlowDataset:
                          "cells: base_flow, amplitude_range or noise_std is too large")
     ts = step_timestamps(spec.total_steps, spec.daily_period)
     return FlowDataset(signal, ts, graph)
-
-
-def implied_moments(spec: SyntheticSpec) -> tuple[float, float]:
-    """Exact long-run mean and variance of the generated flows.
-
-    The noiseless signal is periodic with the weekly period, so one period
-    gives its moments exactly; independent noise adds its variance on top.
-    """
-    spec.validate()
-    graph = random_graph(spec.num_nodes, spec.edge_prob, spec.seed)
-    one_period = _noiseless_signal(
-        replace(spec, total_steps=spec.weekly_period), graph)
-    return float(one_period.mean()), float(one_period.var() + spec.noise_std ** 2)
 
 
 # -- metrics ------------------------------------------------------------------------

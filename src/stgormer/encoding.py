@@ -50,7 +50,7 @@ def time2vec(t, params: Time2VecParams) -> Tensor:
     z = t.reshape(t.shape + (1,)) * params.w + params.b
     if params.dim == 1:
         return z
-    return concat([z[..., :1], z[..., 1:].sin()], axis=-1)
+    return concat([z[..., :1], z[..., 1:].sin()])
 
 
 def temporal_input_encoding(timestamps, feature_params: list[Time2VecParams]) -> Tensor:
@@ -66,7 +66,7 @@ def temporal_input_encoding(timestamps, feature_params: list[Time2VecParams]) ->
             f"timestamps carry {k} features but {len(feature_params)} "
             "parameter sets are configured")
     parts = [time2vec(ts[..., j], feature_params[j]) for j in range(k)]
-    return concat(parts, axis=-1)
+    return concat(parts)
 
 
 def spatial_input_encoding(g: SpatioTemporalGraph,
@@ -100,7 +100,7 @@ def fuse_inputs(
         parts.append(widened.expand(lead + (t_enc.shape[-1],)))
     if s_enc is not None:
         parts.append(s_enc.expand(lead + (s_enc.shape[-1],)))
-    fused = concat(parts, axis=-1)
+    fused = concat(parts)
     if fused.shape[-1] != weight.shape[0]:
         raise ValueError(
             f"fusion input width {fused.shape[-1]} does not match projection "

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -79,10 +79,6 @@ class SpatioTemporalGraph:
         closure = half | {(v, u) for (u, v) in half}
         return cls(num_nodes, tuple(sorted(closure)), False)
 
-    @property
-    def num_edges(self) -> int:
-        return len(self.edges)
-
     def adjacency(self) -> list[list[int]]:
         """Successor lists indexed by source node."""
         adj: list[list[int]] = [[] for _ in range(self.num_nodes)]
@@ -146,18 +142,6 @@ def shortest_path_matrix(g: SpatioTemporalGraph) -> SpdMatrix:
                     row[v] = du + 1
                     queue.append(v)
     return SpdMatrix(values)
-
-
-def relabel(g: SpatioTemporalGraph, perm: Sequence[int]) -> SpatioTemporalGraph:
-    """Apply a node permutation: old node i becomes perm[i]."""
-    if sorted(perm) != list(range(g.num_nodes)):
-        raise ValueError("perm must be a permutation of node indices")
-    pairs = [(perm[u], perm[v]) for u, v in g.edges]
-    if g.directed:
-        return SpatioTemporalGraph.from_edge_list(g.num_nodes, pairs, directed=True)
-    # symmetric closure survives relabeling; keep one orientation per edge
-    uniq = sorted({(min(u, v), max(u, v)) for u, v in pairs})
-    return SpatioTemporalGraph.from_edge_list(g.num_nodes, uniq, directed=False)
 
 
 def canonical_text(g: SpatioTemporalGraph) -> str:

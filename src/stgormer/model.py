@@ -426,8 +426,10 @@ def load_model(path) -> StgormerModel:
     Config fields missing from the checkpoint take their defaults. The magic
     line is checked first, then the CRC-32 trailer against every byte before
     it, and only then is the body parsed. A damaged file is reported as
-    ``corrupt checkpoint: …`` whatever byte was hit, and so is a non-finite
-    parameter or normalizer value, which a valid checksum does not rule out.
+    ``corrupt checkpoint: …`` whatever byte was hit, and so is what a valid
+    checksum does not rule out: a non-finite parameter or normalizer value, a
+    normalizer std ≤ 0 or of the wrong length, a normalizer value that is
+    not a number, and a malformed ``[graph]``.
     """
     from .data import Normalizer
 
@@ -467,22 +469,34 @@ def load_model(path) -> StgormerModel:
     if errors:
         raise ValueError("corrupt checkpoint: " + "; ".join(errors))
 
-    edges = required("graph", "edges")
-    pairs = []
-    for token in edges.split(";") if edges else []:
-        a, _, b = token.partition(":")
-        pairs.append((int(a), int(b)))
-    graph = SpatioTemporalGraph.from_edge_list(
-        kv.decode(0, required("graph", "num_nodes")), pairs,
-        directed=kv.decode(True, required("graph", "directed")))
+    num_nodes, directed, edges = (required("graph", key)
+                                  for key in ("num_nodes", "directed", "edges"))
+    try:
+        pairs = []
+        for token in edges.split(";") if edges else []:
+            a, _, b = token.partition(":")
+            pairs.append((int(a), int(b)))
+        graph = SpatioTemporalGraph.from_edge_list(
+            kv.decode(0, num_nodes), pairs, directed=kv.decode(True, directed))
+    except ValueError as exc:
+        raise ValueError(f"corrupt checkpoint: [graph] {exc}") from None
 
     normalizer = None
     if kv.decode(True, required("normalizer", "present")):
-        mean, std = (np.array([float(x) for x in required("normalizer", key).split(",")])
-                     for key in ("mean", "std"))
+        mean, std = (required("normalizer", key) for key in ("mean", "std"))
+        try:
+            mean, std = (np.array([float(x) for x in raw.split(",")]) for raw in (mean, std))
+        except ValueError as exc:
+            raise ValueError(f"corrupt checkpoint: [normalizer] {exc}") from None
         for key, value in (("mean", mean), ("std", std)):
             if not np.isfinite(value).all():
                 raise ValueError(f"corrupt checkpoint: non-finite values in normalizer {key!r}")
+            if value.shape != (config.channels,):
+                raise ValueError(f"corrupt checkpoint: normalizer {key!r} has {value.size} "
+                                 f"values but config says channels={config.channels}")
+        # fit_normalizer refuses a zero variance, so no saved model holds one
+        if (std <= 0).any():
+            raise ValueError("corrupt checkpoint: normalizer 'std' has a value <= 0")
         normalizer = Normalizer(mean=mean, std=std)
 
     model = StgormerModel(config, graph, values)

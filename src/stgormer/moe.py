@@ -41,7 +41,7 @@ class RouterParams:
 
 def gate(x: Tensor, router: RouterParams) -> Tensor:
     """Per-token expert weight distribution (softmax over the gate logits)."""
-    return softmax(linear(x, router.w, router.b), axis=-1)
+    return softmax(linear(x, router.w, router.b))
 
 
 def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Tensor:

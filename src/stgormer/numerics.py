@@ -321,14 +321,14 @@ def _in_blocks(rows: int, block: int, run, sums=(), scratch=lambda rows: ()) -> 
 # -- free functions over tensors ----------------------------------------------
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along ``axis``: slices are shifted by their max before exp."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+def softmax(x: Tensor) -> Tensor:
+    """Stable softmax over the trailing axis: rows are shifted by their max before exp."""
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = e / e.sum(axis=-1, keepdims=True)
 
     def back(g: np.ndarray) -> None:
-        inner = (g * out_data).sum(axis=axis, keepdims=True)
+        inner = (g * out_data).sum(axis=-1, keepdims=True)
         x._accumulate(out_data * (g - inner))
 
     return Tensor._result(out_data, (x,), back)
@@ -427,18 +427,16 @@ def layer_norm(x: Tensor, residual: Tensor, gamma: Tensor, beta: Tensor,
     return Tensor._result(out.reshape(x.shape), (x, residual, gamma, beta), back)
 
 
-def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
-    """Concatenate along ``axis``; gradient splits back to each input."""
+def concat(tensors: Sequence[Tensor]) -> Tensor:
+    """Concatenate along the trailing axis; gradient splits back to each input."""
     tensors = list(tensors)
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.data.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
+    data = np.concatenate([t.data for t in tensors], axis=-1)
+    offsets = np.cumsum([0] + [t.data.shape[-1] for t in tensors])
 
     def back(g: np.ndarray) -> None:
-        moved = np.moveaxis(g, axis, 0)
         for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
             if t.requires_grad:
-                t._accumulate(np.moveaxis(moved[lo:hi], 0, axis))
+                t._accumulate(g[..., lo:hi])
 
     return Tensor._result(data, tensors, back)
 

@@ -9,11 +9,11 @@ import time
 import numpy as np
 import pytest
 
+from permutation import relabel
 from stgormer.cli import main
 from stgormer.data import (SyntheticSpec, fit_normalizer, make_windows,
                            metrics, split, synthesize)
-from stgormer.graph import (UNREACHABLE, SpatioTemporalGraph, relabel,
-                            shortest_path_matrix)
+from stgormer.graph import UNREACHABLE, SpatioTemporalGraph, shortest_path_matrix
 from stgormer.model import StgormerConfig, build, loss
 from stgormer.moe import load_balance_loss
 from stgormer.numerics import Tensor, finite_difference_check

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from lane_pools import DeferredPool, InlinePool
+from permutation import relabel
 from stgormer import numerics
 from stgormer.attention import (AttentionParams, scaled_dot_attention,
                                 spatial_attention, spd_bias,
                                 spd_bucket_indices, temporal_attention)
-from stgormer.graph import SpatioTemporalGraph, relabel, shortest_path_matrix
+from stgormer.graph import SpatioTemporalGraph, shortest_path_matrix
 from stgormer.numerics import ParameterStore, Tensor, _lanes, finite_difference_check
 
 

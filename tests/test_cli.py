@@ -95,12 +95,12 @@ class TestSynth:
 
     def test_bad_spec_field_listed(self, tmp_path, capsys):
         spec = tmp_path / "bad.txt"
-        spec.write_text("num_nodes=0\nwheels=4\n")
+        spec.write_text("num_nodes=0\nwheels=4\nedge_prob=2.0\n")
         code = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")])
         assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "wheels" in err
+        assert capsys.readouterr().err == (
+            "error: synth spec: unknown key 'wheels'; num_nodes, total_steps, and "
+            "channels must be >= 1; edge_prob must lie in [0, 1]\n")
 
     @pytest.mark.parametrize("line,message", [
         ("seed=-1", "seed must be >= 0"),
@@ -111,7 +111,7 @@ class TestSynth:
         spec = tmp_path / "spec.txt"
         spec.write_text(f"num_nodes=2\ntotal_steps=5\n{line}\n")
         code = main(["synth", "--spec", str(spec), "--out", str(tmp_path / "d")])
-        assert (code, capsys.readouterr().err) == (2, f"error: {message}\n")
+        assert (code, capsys.readouterr().err) == (2, f"error: synth spec: {message}\n")
         assert not (tmp_path / "d").exists()
 
     def test_non_finite_spec_value_rejected(self, tmp_path, capsys):

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from stgormer.data import (FlowDataset, FlowFormatError, Normalizer,
-                           SyntheticSpec, fit_normalizer, implied_moments,
-                           load_flows, load_timestamps, make_windows, metrics,
+                           SyntheticSpec, fit_normalizer, load_flows,
+                           load_timestamps, make_windows, metrics,
                            random_graph, save_flows, save_timestamps, split,
                            step_timestamps, synthesize)
 from stgormer.graph import SpatioTemporalGraph
@@ -161,7 +161,11 @@ class TestSynthesize:
                              daily_period=12, weekly_period=84,
                              total_steps=20 * 84, noise_std=0.3)
         ds = synthesize(spec)
-        mean, var = implied_moments(spec)
+        # the noiseless signal repeats with the weekly period, so one period
+        # gives its moments exactly; independent noise adds its variance
+        one_period = synthesize(dataclasses.replace(
+            spec, total_steps=spec.weekly_period, noise_std=0.0)).flows
+        mean, var = one_period.mean(), one_period.var() + spec.noise_std ** 2
         assert abs(ds.flows.mean() - mean) / abs(mean) < 0.05
         assert abs(ds.flows.var() - var) / var < 0.05
 
@@ -181,8 +185,12 @@ class TestSynthesize:
         assert mean_neighbor_corr(smoothed) > mean_neighbor_corr(raw)
 
     def test_invalid_spec_rejected(self):
+        assert SyntheticSpec(num_nodes=0, edge_prob=2.0, weekly_period=100).validate() == [
+            "num_nodes, total_steps, and channels must be >= 1",
+            "edge_prob must lie in [0, 1]",
+            "weekly_period must be a positive multiple of daily_period"]
         with pytest.raises(ValueError, match="multiple"):
-            SyntheticSpec(daily_period=24, weekly_period=100).validate()
+            synthesize(SyntheticSpec(daily_period=24, weekly_period=100))
 
     def test_random_graph_deterministic(self):
         assert random_graph(8, 0.3, 4) == random_graph(8, 0.3, 4)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from permutation import relabel
 from stgormer.encoding import (DegreeEmbeddingTables, Time2VecParams,
                                fuse_inputs, spatial_input_encoding, time2vec,
                                temporal_input_encoding)
-from stgormer.graph import SpatioTemporalGraph, relabel
+from stgormer.graph import SpatioTemporalGraph
 from stgormer.numerics import ParameterStore, Tensor, finite_difference_check
 
 

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from permutation import relabel
 from traced_memory import kept_bytes, peak_bytes, tracing
 import stgormer.model
-from stgormer.data import Normalizer
-from stgormer.graph import SpatioTemporalGraph, relabel
+from stgormer.cli import main
+from stgormer.data import Normalizer, save_timestamps, write_flow_tensor
+from stgormer.graph import SpatioTemporalGraph
 from stgormer.model import (StgormerConfig, build, load_model, loss,
                             save_model)
 from stgormer.numerics import Tensor, backward, finite_difference_check
@@ -627,3 +629,55 @@ class TestCheckpoint:
         p.write_bytes(data[:-16])
         with pytest.raises(ValueError, match="truncated"):
             load_model(p)
+
+
+class TestResealedCheckpointThroughMain:
+    """Sections edited under a valid checksum, as ``predict`` meets them."""
+
+    def predict(self, tmp_path, capsys, pattern, replacement):
+        cfg = small_config()
+        model = build(cfg, small_graph())
+        model.normalizer = Normalizer(mean=np.array([1.5]), std=np.array([2.5]))
+        ckpt = tmp_path / "model.ckpt"
+        save_model(model, ckpt)
+        reseal(ckpt, lambda body: re.sub(pattern, replacement, body, count=1))
+        x, ts, _ = sample_inputs(cfg, 6)
+        write_flow_tensor(tmp_path / "window.txt", x)
+        save_timestamps(tmp_path / "window_ts.txt", ts)
+        forecast = tmp_path / "forecast.txt"
+        code = main(["predict", "--checkpoint", str(ckpt),
+                     "--window", str(tmp_path / "window.txt"),
+                     "--timestamps", str(tmp_path / "window_ts.txt"),
+                     "--out", str(forecast)])
+        assert not forecast.exists()
+        return code, capsys.readouterr().err
+
+    @pytest.mark.parametrize("pattern, replacement, message", [
+        # unchecked, a zero std forecasts nan and a negative one a finite, wrong value
+        (rb"\nstd=2\.5\n", b"\nstd=0.0\n", "normalizer 'std' has a value <= 0"),
+        (rb"\nstd=2\.5\n", b"\nstd=-2.5\n", "normalizer 'std' has a value <= 0"),
+        (rb"\nmean=1\.5\n", b"\nmean=1.5,1.5\n",
+         "normalizer 'mean' has 2 values but config says channels=1"),
+        (rb"\nstd=2\.5\n", b"\nstd=\n", "[normalizer] could not convert string to float: ''"),
+        (rb"\nmean=1\.5\n", b"\nmean=1.5;2\n",
+         "[normalizer] could not convert string to float: '1.5;2'"),
+    ])
+    def test_bad_normalizer_rejected(self, tmp_path, capsys, pattern, replacement, message):
+        code, err = self.predict(tmp_path, capsys, pattern, replacement)
+        assert (code, err) == (2, f"error: corrupt checkpoint: {message}\n")
+
+    @pytest.mark.parametrize("pattern, replacement, message", [
+        (rb"\nedges=", b"\nedges=0:x;", "invalid literal for int() with base 10: 'x'"),
+        (rb"\nedges=", b"\nedges=0;", "invalid literal for int() with base 10: ''"),
+        (rb"\nnum_nodes=6\n", b"\nnum_nodes=six\n",
+         "invalid literal for int() with base 10: 'six'"),
+        (rb"\ndirected=true\n", b"\ndirected=yes\n", "expected true or false, got 'yes'"),
+        (rb"\nedges=", b"\nedges=0:9;", "edge 0->9 out of range for 6 nodes"),
+        (rb"\nedges=", b"\nedges=0:0;", "self-loop 0->0 not allowed"),
+        (rb"\nedges=([^;\n]+)", rb"\nedges=\1;\1", "duplicate edge"),
+    ])
+    def test_malformed_graph_section_rejected(self, tmp_path, capsys, pattern, replacement,
+                                              message):
+        code, err = self.predict(tmp_path, capsys, pattern, replacement)
+        assert code == 2
+        assert err.startswith(f"error: corrupt checkpoint: [graph] {message}")
