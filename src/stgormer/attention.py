@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import SpdMatrix, UNREACHABLE
+from .graph import UNREACHABLE
 from .numerics import _BLOCK_ROWS, Tensor, _in_blocks
 
 
@@ -33,18 +33,17 @@ class AttentionParams:
     heads: int
 
 
-def spd_bucket_indices(spd: SpdMatrix, max_spd: int) -> np.ndarray:
+def spd_bucket_indices(spd: np.ndarray, max_spd: int) -> np.ndarray:
     """Map raw distances to bias-table rows.
 
     Rows 0..max_spd are exact distances, max_spd+1 catches longer paths and
     max_spd+2 holds the unreachable sentinel.
     """
-    vals = spd.values
-    idx = np.minimum(vals, max_spd + 1)
-    return np.where(vals == UNREACHABLE, max_spd + 2, idx).astype(np.int64)
+    idx = np.minimum(spd, max_spd + 1)
+    return np.where(spd == UNREACHABLE, max_spd + 2, idx).astype(np.int64)
 
 
-def spd_bias(spd: SpdMatrix, table: Tensor, max_spd: int) -> Tensor:
+def spd_bias(spd: np.ndarray, table: Tensor, max_spd: int) -> Tensor:
     """Realize the N x N additive attention bias from the bucket table."""
     return table[spd_bucket_indices(spd, max_spd)]
 

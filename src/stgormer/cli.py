@@ -271,7 +271,7 @@ def cmd_encode(args) -> int:
               zip(indeg.tolist(), outdeg.tolist()))
     spd = shortest_path_matrix(g)
     header = [str(i) for i in range(g.num_nodes)]
-    write_csv(out / "spd.csv", header, spd.values.tolist())
+    write_csv(out / "spd.csv", header, spd.tolist())
     if args.checkpoint:
         model = load_model(args.checkpoint)
         with model.store.frozen():

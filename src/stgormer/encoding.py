@@ -12,19 +12,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import SpatioTemporalGraph, degrees
-from .numerics import Tensor, concat, linear
+from .numerics import Tensor, _unbroadcast, linear
 
 
 @dataclass
 class Time2VecParams:
-    """Per-feature frequency and phase vectors, both of length ``dim``."""
+    """One temporal feature's frequency and phase vectors, of equal length."""
 
     w: Tensor
     b: Tensor
-
-    @property
-    def dim(self) -> int:
-        return self.w.shape[0]
 
 
 @dataclass
@@ -40,33 +36,35 @@ class DegreeEmbeddingTables:
     max_degree: int
 
 
-def time2vec(t, params: Time2VecParams) -> Tensor:
-    """Encode scalar time features: dimension 0 is affine, the rest sinusoidal.
-
-    ``t`` may be a float or a Tensor of any shape; output appends an axis of
-    length ``params.dim``.
-    """
-    t = t if isinstance(t, Tensor) else Tensor(t)
-    z = t.reshape(t.shape + (1,)) * params.w + params.b
-    if params.dim == 1:
-        return z
-    return concat([z[..., :1], z[..., 1:].sin()])
-
-
 def temporal_input_encoding(timestamps, feature_params: list[Time2VecParams]) -> Tensor:
-    """Concatenate one time2vec block per temporal feature.
+    """Time2Vec of each temporal feature, concatenated, as one graph node.
 
-    ``timestamps`` has shape (..., k) with k == len(feature_params); the
-    result has shape (..., k * dim).
+    ``timestamps`` (an array) has shape (..., k) with k == len(feature_params);
+    the result has shape (..., k * dim). Feature j's z = t_j * w_j + b_j keeps
+    dimension 0 and takes sin of the rest; backward recomputes z for the cos.
     """
-    ts = timestamps if isinstance(timestamps, Tensor) else Tensor(timestamps)
+    ts = np.asarray(timestamps, dtype=np.float64)
     k = ts.shape[-1]
     if k != len(feature_params):
         raise ValueError(
             f"timestamps carry {k} features but {len(feature_params)} "
             "parameter sets are configured")
-    parts = [time2vec(ts[..., j], feature_params[j]) for j in range(k)]
-    return concat(parts)
+    w = np.stack([p.w.data for p in feature_params])
+    b = np.stack([p.b.data for p in feature_params])
+    z = ts[..., None] * w + b
+    np.sin(z[..., 1:], out=z[..., 1:])
+
+    def back(g: np.ndarray) -> None:
+        gz = g.reshape(z.shape).copy()
+        gz[..., 1:] *= np.cos(ts[..., None] * w[:, 1:] + b[:, 1:])
+        for j, p in enumerate(feature_params):
+            if p.b.requires_grad:
+                p.b._accumulate(_unbroadcast(gz[..., j, :], p.b.shape))
+            if p.w.requires_grad:
+                p.w._accumulate(_unbroadcast(gz[..., j, :] * ts[..., j, None], p.w.shape))
+
+    params = [t for p in feature_params for t in (p.w, p.b)]
+    return Tensor._result(z.reshape(ts.shape[:-1] + (-1,)), params, back)
 
 
 def spatial_input_encoding(g: SpatioTemporalGraph,
@@ -91,18 +89,26 @@ def fuse_inputs(
     ``x`` has shape (..., T, N, C); ``t_enc`` (..., T, k*dim) broadcasts over
     nodes and ``s_enc`` (N, d) broadcasts over time and any batch axes.
     Disabled encodings are passed as None and simply omitted from the
-    concatenation (the fusion weight is sized accordingly).
+    concatenation (the fusion weight is sized accordingly), which is one
+    graph node.
     """
-    lead = x.shape[:-1]
-    parts = [x]
+    parts = [(x, x.shape)]
     if t_enc is not None:
-        widened = t_enc.reshape(t_enc.shape[:-1] + (1, t_enc.shape[-1]))
-        parts.append(widened.expand(lead + (t_enc.shape[-1],)))
+        parts.append((t_enc, t_enc.shape[:-1] + (1, t_enc.shape[-1])))
     if s_enc is not None:
-        parts.append(s_enc.expand(lead + (s_enc.shape[-1],)))
-    fused = concat(parts)
-    if fused.shape[-1] != weight.shape[0]:
+        parts.append((s_enc, s_enc.shape))
+    offsets = np.cumsum([0] + [shape[-1] for _, shape in parts])
+    if offsets[-1] != weight.shape[0]:
         raise ValueError(
-            f"fusion input width {fused.shape[-1]} does not match projection "
+            f"fusion input width {offsets[-1]} does not match projection "
             f"rows {weight.shape[0]}; check encoding toggles against weights")
-    return linear(fused, weight, bias)
+    lead = x.shape[:-1]
+    fused = np.concatenate([np.broadcast_to(t.data.reshape(shape), lead + shape[-1:])
+                            for t, shape in parts], axis=-1)
+
+    def back(g: np.ndarray) -> None:
+        for (t, shape), lo, hi in zip(parts, offsets[:-1], offsets[1:]):
+            if t.requires_grad:
+                t._accumulate(_unbroadcast(g[..., lo:hi], shape).reshape(t.shape))
+
+    return linear(Tensor._result(fused, [t for t, _ in parts], back), weight, bias)

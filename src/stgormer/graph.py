@@ -93,25 +93,6 @@ class SpatioTemporalGraph:
         return [(u, v) for u, v in self.edges if u < v]
 
 
-@dataclass(frozen=True)
-class SpdMatrix:
-    """All-pairs shortest hop distances; -1 marks unreachable pairs."""
-
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=np.int64)
-        object.__setattr__(self, "values", vals)
-        n = vals.shape[0]
-        if vals.shape != (n, n):
-            raise ValueError("SPD matrix must be square")
-        if np.any(np.diag(vals) != 0):
-            raise ValueError("SPD diagonal must be zero")
-        bad = (vals != UNREACHABLE) & ((vals < 0) | (vals > n - 1))
-        if np.any(bad):
-            raise ValueError("SPD entries must be -1 or in [0, N-1]")
-
-
 def degrees(g: SpatioTemporalGraph) -> tuple[np.ndarray, np.ndarray]:
     """Per-node indegree and outdegree over the stored arc set.
 
@@ -125,8 +106,9 @@ def degrees(g: SpatioTemporalGraph) -> tuple[np.ndarray, np.ndarray]:
     return indeg, outdeg
 
 
-def shortest_path_matrix(g: SpatioTemporalGraph) -> SpdMatrix:
-    """All-pairs shortest hop distances by per-source BFS; -1 when unreachable."""
+def shortest_path_matrix(g: SpatioTemporalGraph) -> np.ndarray:
+    """All-pairs shortest hop distances (N x N, int64) by per-source BFS; -1
+    when unreachable."""
     n = g.num_nodes
     adj = g.adjacency()
     values = np.full((n, n), UNREACHABLE, dtype=np.int64)
@@ -141,7 +123,7 @@ def shortest_path_matrix(g: SpatioTemporalGraph) -> SpdMatrix:
                 if row[v] == UNREACHABLE:
                     row[v] = du + 1
                     queue.append(v)
-    return SpdMatrix(values)
+    return values
 
 
 def canonical_text(g: SpatioTemporalGraph) -> str:

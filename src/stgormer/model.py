@@ -20,7 +20,7 @@ from . import kv
 from .attention import AttentionParams, spatial_attention, spd_bias, temporal_attention
 from .encoding import (DegreeEmbeddingTables, Time2VecParams, fuse_inputs,
                        spatial_input_encoding, temporal_input_encoding)
-from .graph import SpatioTemporalGraph, SpdMatrix, shortest_path_matrix
+from .graph import SpatioTemporalGraph, shortest_path_matrix
 from .moe import ExpertParams, RouterParams, expert_forward, load_balance_loss, moe_forward
 from .numerics import (ParameterStore, Tensor, layer_norm, linear,
                        read_param_block, write_param_block)
@@ -182,7 +182,7 @@ class StgormerModel:
             raise ValueError("invalid model config: " + "; ".join(errors))
         self.config = config
         self.graph = graph
-        self.spd: SpdMatrix = shortest_path_matrix(graph)
+        self.spd = shortest_path_matrix(graph)
         self.normalizer = None
         self.store = ParameterStore()
         init = _Init(self.store, config.seed, values)
@@ -275,7 +275,7 @@ class StgormerModel:
                 f"timestamps shape {timestamps.shape} != expected "
                 f"{(b, t, cfg.temporal_features)}")
 
-        t_enc = (temporal_input_encoding(Tensor(timestamps), self.time_params)
+        t_enc = (temporal_input_encoding(timestamps, self.time_params)
                  if cfg.use_time_encoding else None)
         s_enc = (spatial_input_encoding(self.graph, self.degree_tables)
                  if cfg.use_degree_encoding else None)
@@ -406,7 +406,7 @@ def _read_section(fh, tag: str) -> dict[str, str]:
     """The ``[tag]`` section's key=value lines, up to the next ``[...]`` line."""
     line = fh.readline().decode().rstrip("\n")
     if line != f"[{tag}]":
-        raise ValueError(f"corrupt checkpoint: expected [{tag}], got {line!r}")
+        raise ValueError(f"expected [{tag}], got {line!r}")
     items: dict[str, str] = {}
     while True:
         start = fh.tell()
@@ -416,23 +416,70 @@ def _read_section(fh, tag: str) -> dict[str, str]:
             return items
         key, eq, value = line.partition("=")
         if not eq or key in items:
-            raise ValueError(f"corrupt checkpoint: bad line {line!r} in [{tag}]")
+            raise ValueError(f"bad line {line!r} in [{tag}]")
         items[key] = value
+
+
+def _decode_sections(sections: dict[str, dict[str, str]]):
+    """The config, graph and normalizer that a checkpoint's text sections
+    hold; a ValueError says what is malformed. Config fields missing from the
+    checkpoint take their defaults."""
+    from .data import Normalizer
+
+    def required(tag: str, key: str) -> str:
+        if key not in sections[tag]:
+            raise ValueError(f"has no {key!r} line")
+        return sections[tag][key]
+
+    errors: list[str] = []
+    config = kv.overlay(StgormerConfig(), sections["config"], errors)
+    errors.extend(config.validate())
+    if errors:
+        raise ValueError("; ".join(errors))
+
+    try:
+        num_nodes, directed, edges = (required("graph", key)
+                                      for key in ("num_nodes", "directed", "edges"))
+        pairs = []
+        for token in edges.split(";") if edges else []:
+            a, _, b = token.partition(":")
+            pairs.append((int(a), int(b)))
+        graph = SpatioTemporalGraph.from_edge_list(
+            kv.decode(0, num_nodes), pairs, directed=kv.decode(True, directed))
+    except ValueError as exc:
+        raise ValueError(f"[graph] {exc}") from None
+
+    stats = None
+    try:
+        if kv.decode(True, required("normalizer", "present")):
+            stats = [np.array([float(x) for x in required("normalizer", key).split(",")])
+                     for key in ("mean", "std")]
+    except ValueError as exc:
+        raise ValueError(f"[normalizer] {exc}") from None
+    if stats is None:
+        return config, graph, None
+    for key, value in zip(("mean", "std"), stats):
+        if not np.isfinite(value).all():
+            raise ValueError(f"non-finite values in normalizer {key!r}")
+        if value.shape != (config.channels,):
+            raise ValueError(f"normalizer {key!r} has {value.size} values "
+                             f"but config says channels={config.channels}")
+    # fit_normalizer refuses a zero variance, so no saved model holds one
+    if (stats[1] <= 0).any():
+        raise ValueError("normalizer 'std' has a value <= 0")
+    return config, graph, Normalizer(*stats)
 
 
 def load_model(path) -> StgormerModel:
     """Rebuild a model from its checkpoint, verifying config/parameter agreement.
 
-    Config fields missing from the checkpoint take their defaults. The magic
-    line is checked first, then the CRC-32 trailer against every byte before
-    it, and only then is the body parsed. A damaged file is reported as
-    ``corrupt checkpoint: …`` whatever byte was hit, and so is what a valid
-    checksum does not rule out: a non-finite parameter or normalizer value, a
-    normalizer std ≤ 0 or of the wrong length, a normalizer value that is
-    not a number, and a malformed ``[graph]``.
+    The magic line is checked first, then the CRC-32 trailer against every
+    byte before it, and only then is the body parsed. A damaged file is
+    reported as ``corrupt checkpoint: …`` whatever byte was hit, and so is
+    every parse error in a body whose checksum holds: a malformed section,
+    manifest or value, a config that fails validation, a non-finite parameter
+    or normalizer value, and a normalizer std ≤ 0 or of the wrong length.
     """
-    from .data import Normalizer
-
     with open(path, "rb") as fh:
         head = fh.readline(len(_MODEL_MAGIC) + 1)
         if head != _MODEL_MAGIC.encode() + b"\n":
@@ -445,60 +492,20 @@ def load_model(path) -> StgormerModel:
         try:
             sections = {tag: _read_section(fh, tag) for tag in ("config", "graph", "normalizer")}
             values = read_param_block(fh)
-        except ValueError:
+            end = fh.tell() + 4
+            if end > size:
+                fault = "truncated checksum trailer"
+            elif end < size:
+                fault = "trailing bytes after the checksum trailer"
             if fault is None:
-                raise
-            if fh.tell() >= size:
-                fault = "truncated contents"
-            raise ValueError(f"corrupt checkpoint: {fault}") from None
-        end = fh.tell() + 4
-        if end > size:
-            fault = "truncated checksum trailer"
-        elif end < size:
-            fault = "trailing bytes after the checksum trailer"
-        if fault is not None:
-            raise ValueError(f"corrupt checkpoint: {fault}")
-
-    def required(tag: str, key: str) -> str:
-        if key not in sections[tag]:
-            raise ValueError(f"corrupt checkpoint: [{tag}] has no {key!r} line")
-        return sections[tag][key]
-
-    errors: list[str] = []
-    config = kv.overlay(StgormerConfig(), sections["config"], errors)
-    if errors:
-        raise ValueError("corrupt checkpoint: " + "; ".join(errors))
-
-    num_nodes, directed, edges = (required("graph", key)
-                                  for key in ("num_nodes", "directed", "edges"))
-    try:
-        pairs = []
-        for token in edges.split(";") if edges else []:
-            a, _, b = token.partition(":")
-            pairs.append((int(a), int(b)))
-        graph = SpatioTemporalGraph.from_edge_list(
-            kv.decode(0, num_nodes), pairs, directed=kv.decode(True, directed))
-    except ValueError as exc:
-        raise ValueError(f"corrupt checkpoint: [graph] {exc}") from None
-
-    normalizer = None
-    if kv.decode(True, required("normalizer", "present")):
-        mean, std = (required("normalizer", key) for key in ("mean", "std"))
-        try:
-            mean, std = (np.array([float(x) for x in raw.split(",")]) for raw in (mean, std))
+                config, graph, normalizer = _decode_sections(sections)
         except ValueError as exc:
-            raise ValueError(f"corrupt checkpoint: [normalizer] {exc}") from None
-        for key, value in (("mean", mean), ("std", std)):
-            if not np.isfinite(value).all():
-                raise ValueError(f"corrupt checkpoint: non-finite values in normalizer {key!r}")
-            if value.shape != (config.channels,):
-                raise ValueError(f"corrupt checkpoint: normalizer {key!r} has {value.size} "
-                                 f"values but config says channels={config.channels}")
-        # fit_normalizer refuses a zero variance, so no saved model holds one
-        if (std <= 0).any():
-            raise ValueError("corrupt checkpoint: normalizer 'std' has a value <= 0")
-        normalizer = Normalizer(mean=mean, std=std)
-
+            if fault is None:
+                fault = str(exc)
+            elif fh.tell() >= size:
+                fault = "truncated contents"
+    if fault is not None:
+        raise ValueError(f"corrupt checkpoint: {fault}")
     model = StgormerModel(config, graph, values)
     model.normalizer = normalizer
     return model

@@ -27,7 +27,6 @@ __all__ = [
     "linear",
     "layer_norm",
     "softmax",
-    "concat",
     "write_param_block",
     "read_param_block",
 ]
@@ -214,16 +213,6 @@ class Tensor:
 
         return Tensor._result(data, (self,), back)
 
-    def expand(self, shape: tuple[int, ...]) -> "Tensor":
-        """Materialized broadcast to ``shape``; gradient sums back down."""
-        data = np.broadcast_to(self.data, shape).copy()
-        in_shape = self.data.shape
-
-        def back(g: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(g, in_shape))
-
-        return Tensor._result(data, (self,), back)
-
     def __getitem__(self, key) -> "Tensor":
         data = self.data[key]
         in_shape = self.data.shape
@@ -236,14 +225,6 @@ class Tensor:
         return Tensor._result(np.array(data), (self,), back)
 
     # -- elementwise nonlinearities -------------------------------------------
-
-    def sin(self) -> "Tensor":
-        data = np.sin(self.data)
-
-        def back(g: np.ndarray) -> None:
-            self._accumulate(g * np.cos(self.data))
-
-        return Tensor._result(data, (self,), back)
 
     def abs(self) -> "Tensor":
         data = np.abs(self.data)
@@ -425,20 +406,6 @@ def layer_norm(x: Tensor, residual: Tensor, gamma: Tensor, beta: Tensor,
                     t._accumulate(dx)
 
     return Tensor._result(out.reshape(x.shape), (x, residual, gamma, beta), back)
-
-
-def concat(tensors: Sequence[Tensor]) -> Tensor:
-    """Concatenate along the trailing axis; gradient splits back to each input."""
-    tensors = list(tensors)
-    data = np.concatenate([t.data for t in tensors], axis=-1)
-    offsets = np.cumsum([0] + [t.data.shape[-1] for t in tensors])
-
-    def back(g: np.ndarray) -> None:
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(g[..., lo:hi])
-
-    return Tensor._result(data, tensors, back)
 
 
 # -- parameters -----------------------------------------------------------------
@@ -655,9 +622,14 @@ def read_param_block(fh) -> dict[str, np.ndarray]:
             break
         if not line:
             raise ValueError("unterminated manifest: missing [data] section")
-        parts = line.split(" ")
-        path, dims = parts[0], tuple(int(d) for d in parts[1:])
-        manifest.append((path, dims))
+        if line.startswith("["):
+            raise ValueError(f"expected [data] after the manifest, got {line!r}")
+        path, *extents = line.split(" ")
+        bad = [e for e in extents if not (e.isascii() and e.isdigit())]
+        if bad:
+            raise ValueError(f"parameter {path!r} has extent {bad[0]!r}, "
+                             "not a non-negative integer")
+        manifest.append((path, tuple(int(e) for e in extents)))
     values: dict[str, np.ndarray] = {}
     non_finite = []
     for path, dims in manifest:
@@ -672,5 +644,5 @@ def read_param_block(fh) -> dict[str, np.ndarray]:
         if not np.isfinite(values[path]).all():
             non_finite.append(path)
     if non_finite:
-        raise ValueError(f"corrupt checkpoint: non-finite values in parameter {min(non_finite)!r}")
+        raise ValueError(f"non-finite values in parameter {min(non_finite)!r}")
     return values

@@ -81,7 +81,7 @@ def test_criterion_01_spd_oracle_equivalence():
             pairs = [(u, v) for u in range(n) for v in range(n)
                      if u != v and rng.random() < 0.2]
             g = SpatioTemporalGraph.from_edge_list(n, pairs)
-            assert np.array_equal(shortest_path_matrix(g).values,
+            assert np.array_equal(shortest_path_matrix(g),
                                   floyd_warshall(g))
 
 

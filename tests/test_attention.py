@@ -339,7 +339,7 @@ class TestSpdBias:
             bias = spd_bias(spd, Tensor(table), max_spd).data
             for i in range(n):
                 for j in range(n):
-                    d = spd.values[i, j]
+                    d = spd[i, j]
                     if d == -1:
                         expected = table[max_spd + 2]
                     elif d > max_spd:

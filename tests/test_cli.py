@@ -590,7 +590,7 @@ class TestEncode:
         spd = shortest_path_matrix(g)
         rows = (workspace / "enc" / "spd.csv").read_text().splitlines()[1:]
         parsed = np.array([[int(v) for v in row.split(",")] for row in rows])
-        assert np.array_equal(parsed, spd.values)
+        assert np.array_equal(parsed, spd)
 
     def test_sa_bias_dump(self, workspace):
         out = train_run(workspace)

@@ -3,7 +3,7 @@ import pytest
 
 from permutation import relabel
 from stgormer.encoding import (DegreeEmbeddingTables, Time2VecParams,
-                               fuse_inputs, spatial_input_encoding, time2vec,
+                               fuse_inputs, spatial_input_encoding,
                                temporal_input_encoding)
 from stgormer.graph import SpatioTemporalGraph
 from stgormer.numerics import ParameterStore, Tensor, finite_difference_check
@@ -14,15 +14,20 @@ def t2v_params(w, b):
                           b=Tensor(np.asarray(b, dtype=float)))
 
 
+def encode_feature(t, params):
+    """One feature's Time2Vec: ``t`` of any shape gains an axis of length dim."""
+    return temporal_input_encoding(np.asarray(t)[..., None], [params])
+
+
 class TestTime2Vec:
     def test_linear_dimension_is_affine(self):
-        out = time2vec(3.0, t2v_params([2.0], [1.0]))
+        out = encode_feature(3.0, t2v_params([2.0], [1.0]))
         assert out.data.tolist() == [7.0]
 
     def test_sinusoidal_dimensions(self):
         params = t2v_params([0.5, 2.0, -1.0], [0.1, 0.2, 0.3])
         t = 0.7
-        out = time2vec(t, params).data
+        out = encode_feature(t, params).data
         assert out[0] == 0.5 * t + 0.1
         assert abs(out[1] - np.sin(2.0 * t + 0.2)) < 1e-15
         assert abs(out[2] - np.sin(-1.0 * t + 0.3)) < 1e-15
@@ -30,10 +35,10 @@ class TestTime2Vec:
     def test_periodicity(self):
         params = t2v_params([1.0, 3.0, 0.25], [0.0, 1.0, -0.5])
         t = 0.37
-        base = time2vec(t, params).data
+        base = encode_feature(t, params).data
         for i in (1, 2):
             w = params.w.data[i]
-            shifted = time2vec(t + 2.0 * np.pi / w, params).data
+            shifted = encode_feature(t + 2.0 * np.pi / w, params).data
             assert abs(shifted[i] - base[i]) < 1e-9
 
     def test_matches_direct_formula_oracle(self):
@@ -43,7 +48,7 @@ class TestTime2Vec:
             w = rng.normal(size=d)
             b = rng.normal(size=d)
             t = float(rng.uniform(0, 1))
-            out = time2vec(t, t2v_params(w, b)).data
+            out = encode_feature(t, t2v_params(w, b)).data
             expected = np.array(
                 [w[i] * t + b[i] if i == 0 else np.sin(w[i] * t + b[i])
                  for i in range(d)])
@@ -53,7 +58,7 @@ class TestTime2Vec:
         rng = np.random.default_rng(18)
         params = t2v_params(rng.normal(scale=10, size=5), rng.normal(size=5))
         ts = rng.uniform(-100, 100, size=200)
-        out = time2vec(Tensor(ts), params).data
+        out = encode_feature(ts, params).data
         assert np.all(np.abs(out[:, 1:]) <= 1.0)
 
 
@@ -81,8 +86,8 @@ class TestTemporalInputEncoding:
         out = temporal_input_encoding(ts, params).data
         assert out.shape == (8, 8)
         for step in range(8):
-            left = time2vec(ts[step, 0], params[0]).data
-            right = time2vec(ts[step, 1], params[1]).data
+            left = encode_feature(ts[step, 0], params[0]).data
+            right = encode_feature(ts[step, 1], params[1]).data
             assert np.array_equal(out[step], np.concatenate([left, right]))
 
     def test_feature_count_mismatch(self):
@@ -183,25 +188,40 @@ class TestFuseInputs:
         with pytest.raises(ValueError, match="width"):
             fuse_inputs(x, Tensor(rng.normal(size=(2, 2))), None, w_narrow, b)
 
-    def test_gradients_through_fused_pipeline(self):
+    @pytest.mark.parametrize("features, time_dim, use_time, use_degree, batch", [
+        (1, 3, True, True, None),
+        (2, 3, True, True, None),
+        (3, 1, True, True, None),
+        (2, 1, True, True, None),
+        (2, 3, False, True, None),
+        (2, 3, True, False, None),
+        (3, 3, True, True, 2),
+        (1, 1, False, True, 2),
+        (2, 3, True, False, 2),
+    ], ids=["k1-dim3", "k2-dim3", "k3-dim1", "k2-dim1", "k2-no-time", "k2-no-degree",
+            "k3-batch", "k1-dim1-no-time-batch", "k2-no-degree-batch"])
+    def test_gradients_through_fused_pipeline(self, features, time_dim, use_time,
+                                              use_degree, batch):
         rng = np.random.default_rng(28)
         g = SpatioTemporalGraph.from_edge_list(4, [(0, 1), (1, 2), (2, 3), (3, 1)])
         store = ParameterStore()
-        w0 = store.add("t2v.w", rng.normal(size=3))
-        b0 = store.add("t2v.b", rng.normal(size=3))
+        t2v = [Time2VecParams(store.add(f"t2v.f{j}.w", rng.normal(size=time_dim)),
+                              store.add(f"t2v.f{j}.b", rng.normal(size=time_dim)))
+               for j in range(features)]
         zm = store.add("deg.in", rng.normal(size=(6, 2)))
         zp = store.add("deg.out", rng.normal(size=(6, 2)))
-        fw = store.add("fusion.w", rng.normal(size=(1 + 3 + 2, 5)))
+        width = 1 + use_time * features * time_dim + use_degree * 2
+        fw = store.add("fusion.w", rng.normal(size=(width, 5)))
         fb = store.add("fusion.b", rng.normal(size=5))
-        x = rng.normal(size=(2, 4, 1))
-        ts = rng.uniform(0, 1, size=(2, 1))
-        target = rng.normal(size=(2, 4, 5))
+        lead = () if batch is None else (batch,)
+        x = rng.normal(size=lead + (2, 4, 1))
+        ts = rng.uniform(0, 1, size=lead + (2, features))
+        target = rng.normal(size=lead + (2, 4, 5))
 
         def fwd():
-            t_enc = temporal_input_encoding(
-                Tensor(ts), [Time2VecParams(w0, b0)])
-            s_enc = spatial_input_encoding(
-                g, DegreeEmbeddingTables(zm, zp, 4))
+            t_enc = temporal_input_encoding(ts, t2v) if use_time else None
+            s_enc = (spatial_input_encoding(g, DegreeEmbeddingTables(zm, zp, 4))
+                     if use_degree else None)
             out = fuse_inputs(Tensor(x), t_enc, s_enc, fw, fb)
             diff = out - Tensor(target)
             return (diff * diff).mean()

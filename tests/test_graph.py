@@ -3,8 +3,8 @@ import pytest
 
 from permutation import relabel
 from stgormer.graph import (UNREACHABLE, GraphFormatError, SpatioTemporalGraph,
-                            SpdMatrix, canonical_text, degrees, load_graph,
-                            save_graph, shortest_path_matrix)
+                            canonical_text, degrees, load_graph, save_graph,
+                            shortest_path_matrix)
 
 
 def random_directed(rng, max_nodes=20, edge_prob=0.3):
@@ -72,28 +72,32 @@ class TestShortestPaths:
     def test_path_graph(self):
         g = SpatioTemporalGraph.from_edge_list(3, [(0, 1), (1, 2)], directed=False)
         spd = shortest_path_matrix(g)
-        assert spd.values[0, 2] == 2
-        assert spd.values[0, 1] == 1
-        assert np.all(np.diag(spd.values) == 0)
+        assert spd[0, 2] == 2
+        assert spd[0, 1] == 1
+        assert np.all(np.diag(spd) == 0)
 
     def test_disconnected_pair(self):
         g = SpatioTemporalGraph.from_edge_list(2, [])
         spd = shortest_path_matrix(g)
-        assert spd.values[0, 1] == UNREACHABLE
-        assert spd.values[1, 0] == UNREACHABLE
+        assert spd[0, 1] == UNREACHABLE
+        assert spd[1, 0] == UNREACHABLE
 
     def test_matches_floyd_warshall_oracle(self):
         rng = np.random.default_rng(23)
         for _ in range(100):
             g = random_directed(rng, edge_prob=0.2)
-            assert np.array_equal(shortest_path_matrix(g).values,
-                                  floyd_warshall_oracle(g))
+            spd = shortest_path_matrix(g)
+            assert spd.dtype == np.int64
+            assert np.array_equal(spd, floyd_warshall_oracle(g))
+            n = g.num_nodes
+            assert np.all(np.diag(spd) == 0)
+            assert np.all((spd == UNREACHABLE) | ((spd >= 0) & (spd <= n - 1)))
 
     def test_triangle_inequality(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             g = random_directed(rng, max_nodes=12)
-            vals = shortest_path_matrix(g).values
+            vals = shortest_path_matrix(g)
             n = g.num_nodes
             for i in range(n):
                 for k in range(n):
@@ -107,8 +111,8 @@ class TestShortestPaths:
             g = random_directed(rng, max_nodes=12)
             perm = rng.permutation(g.num_nodes)
             h = relabel(g, perm.tolist())
-            spd_g = shortest_path_matrix(g).values
-            spd_h = shortest_path_matrix(h).values
+            spd_g = shortest_path_matrix(g)
+            spd_h = shortest_path_matrix(h)
             for i in range(g.num_nodes):
                 for j in range(g.num_nodes):
                     assert spd_h[perm[i], perm[j]] == spd_g[i, j]
@@ -129,8 +133,8 @@ class TestShortestPaths:
             extra = missing[int(rng.integers(len(missing)))]
             g2 = SpatioTemporalGraph.from_edge_list(
                 g.num_nodes, list(g.edges) + [extra])
-            before = shortest_path_matrix(g).values
-            after = shortest_path_matrix(g2).values
+            before = shortest_path_matrix(g)
+            after = shortest_path_matrix(g2)
             both = (before != UNREACHABLE) & (after != UNREACHABLE)
             assert np.all(after[both] <= before[both])
             # reachability can only grow
@@ -153,12 +157,6 @@ class TestGraphValidation:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="out of range"):
             SpatioTemporalGraph.from_edge_list(3, [(0, 5)])
-
-    def test_spd_matrix_invariants(self):
-        with pytest.raises(ValueError, match="diagonal"):
-            SpdMatrix(np.array([[1, 1], [1, 0]]))
-        with pytest.raises(ValueError, match="-1 or in"):
-            SpdMatrix(np.array([[0, 5], [1, 0]]))
 
 
 class TestGraphFiles:

