@@ -6,6 +6,7 @@ learnable table indexed by shortest-path distance.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,11 +49,11 @@ def spd_bias(spd: np.ndarray, table: Tensor, max_spd: int) -> Tensor:
     return table[spd_bucket_indices(spd, max_spd)]
 
 
-def scaled_dot_attention(x: Tensor, params: AttentionParams,
+def scaled_dot_attention(x: Tensor, params: AttentionParams, axis: int,
                          bias: Tensor | None = None) -> Tensor:
-    """Multi-head attention along axis 1 of (batch, length, width) input, or of
-    (batch, length, nodes, width) input separately for each node, as one
-    graph node.
+    """Multi-head attention over (..., T, N, D) input as one graph node: along
+    time separately for each node (``axis`` -3), or across nodes separately
+    for each time step (``axis`` -2).
 
     Scores are q k^T / sqrt(head_width); ``bias`` (length x length) is added
     after scaling and broadcast over sequences and heads. Q, K and V come from
@@ -62,10 +63,10 @@ def scaled_dot_attention(x: Tensor, params: AttentionParams,
     closed-form backward recomputes q, k, v and the merged heads block by
     block.
     """
-    if x.data.ndim not in (3, 4):
-        raise ValueError(f"attention input must be 3-D or 4-D, got shape {x.shape}")
+    if axis not in (-3, -2) or x.data.ndim < -axis:
+        raise ValueError(f"cannot attend along axis {axis} of shape {x.shape}")
     # (sequences, length, nodes, width): the sequence of (p, q) is x4[p, :, q]
-    x4 = x.data.reshape(x.shape[:2] + (-1, x.shape[-1]))
+    x4 = x.data.reshape((-1, x.shape[axis], math.prod(x.shape[axis + 1:-1]), x.shape[-1]))
     count, length, nodes, width = x4.shape
     h = params.heads
     if width % h:
@@ -169,12 +170,10 @@ def scaled_dot_attention(x: Tensor, params: AttentionParams,
 
 def temporal_attention(h: Tensor, params: AttentionParams) -> Tensor:
     """Attend along time independently per node; input (..., T, N, D)."""
-    t, n, d = h.shape[-3:]
-    return scaled_dot_attention(h.reshape(-1, t, n, d), params).reshape(h.shape)
+    return scaled_dot_attention(h, params, -3)
 
 
 def spatial_attention(h: Tensor, params: AttentionParams,
                       bias: Tensor | None = None) -> Tensor:
     """Attend across nodes independently per time step; input (..., T, N, D)."""
-    n, d = h.shape[-2:]
-    return scaled_dot_attention(h.reshape(-1, n, d), params, bias=bias).reshape(h.shape)
+    return scaled_dot_attention(h, params, -2, bias)

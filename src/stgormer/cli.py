@@ -11,6 +11,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -29,6 +30,10 @@ from .train import (STUDY_COLUMNS, DivergenceError, TrainConfig, evaluate,
 
 class UsageError(ValueError):
     """Bad command-line invocation (exit code 1)."""
+
+
+class NonFiniteOutput(ArithmeticError):
+    """A forecast or a metric that is not finite (exit code 3)."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -239,6 +244,9 @@ def cmd_eval(args) -> int:
     check_model_inputs(data / "flows.txt", data / "timestamps.txt", ds, model.config)
     piece = _split_by_name(ds, args.split)
     report = evaluate(model, piece, args.threshold)
+    bad = [f"{k}={report[k]!r}" for k in ("mae", "rmse", "mape") if not math.isfinite(report[k])]
+    if bad:
+        raise NonFiniteOutput(f"non-finite metrics {', '.join(bad)}; no report written")
     out = Path(args.out) if args.out else Path(f"eval_{args.split}.txt")
     write_report(out, report)
     print(f"mae={report['mae']!r} rmse={report['rmse']!r} "
@@ -257,6 +265,10 @@ def cmd_predict(args) -> int:
             f"input_len={model.config.input_len}")
     check_model_inputs(args.window, args.timestamps, window, model.config)
     forecast = model.predict(window.flows, window.timestamps)
+    bad = sum(not math.isfinite(v) for v in forecast.flat)
+    if bad:
+        raise NonFiniteOutput(f"{bad} of {forecast.size} forecast values are not finite; "
+                              "no forecast written")
     write_flow_tensor(args.out, forecast)
     print(f"forecast written to {args.out}")
     return 0
@@ -382,7 +394,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         return _fail(1, str(exc))
-    except DivergenceError as exc:
+    except (DivergenceError, NonFiniteOutput) as exc:
         return _fail(3, str(exc))
     except (ValueError, OSError, KeyError, RuntimeError) as exc:
         return _fail(2, str(exc))

@@ -69,12 +69,22 @@ def temporal_input_encoding(timestamps, feature_params: list[Time2VecParams]) ->
 
 def spatial_input_encoding(g: SpatioTemporalGraph,
                            tables: DegreeEmbeddingTables) -> Tensor:
-    """Per-node centrality encoding: z_minus[indeg] + z_plus[outdeg], clamped."""
-    indeg, outdeg = degrees(g)
+    """Per-node centrality encoding z_minus[indeg] + z_plus[outdeg], degrees
+    clamped to the overflow row, as one graph node."""
     cap = tables.max_degree + 1
-    in_idx = np.minimum(indeg, cap)
-    out_idx = np.minimum(outdeg, cap)
-    return tables.z_minus[in_idx] + tables.z_plus[out_idx]
+    lookups = [(table, np.minimum(deg, cap))
+               for table, deg in zip((tables.z_minus, tables.z_plus), degrees(g))]
+
+    def back(grad: np.ndarray) -> None:
+        for table, idx in lookups:
+            if table.requires_grad:
+                buf = np.zeros(table.shape)
+                np.add.at(buf, idx, grad)
+                table._accumulate(buf)
+
+    (z_minus, in_idx), (z_plus, out_idx) = lookups
+    return Tensor._result(z_minus.data[in_idx] + z_plus.data[out_idx],
+                          (z_minus, z_plus), back)
 
 
 def fuse_inputs(

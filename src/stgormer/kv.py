@@ -19,6 +19,16 @@ def read_lines(path, error: type[ValueError] = ValueError) -> list[str]:
         raise error(f"{path}: not UTF-8 text") from None
 
 
+def read_line(fh, section: str, number: int) -> str:
+    """The line at a binary file's position, which is line ``number`` of the
+    file and part of ``[section]``, without its newline; a line that is not
+    UTF-8 is named by both."""
+    try:
+        return fh.readline().decode("utf-8").rstrip("\n")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"[{section}] line {number} is not UTF-8: {exc}") from None
+
+
 def read_file(path) -> dict[str, str]:
     """Flat key=value document; '#' comments and blank lines ignored."""
     items: dict[str, str] = {}

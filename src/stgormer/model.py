@@ -257,8 +257,9 @@ class StgormerModel:
                       timestamps: np.ndarray) -> tuple[Tensor, list[Tensor]]:
         """Batched forward: (B, T, N, C) plus (B, T, k) -> (B, horizon, N, C).
 
-        Also returns the gate usage of each MoE block in block order (empty
-        when MoE is off), for the balance term of ``loss``.
+        Also returns, in block order, the gate weights of each MoE block that
+        records a graph, for the balance term of ``loss``: none when MoE is
+        off, and none from a frozen store, whose forward keeps only its output.
         """
         cfg = self.config
         x = np.asarray(x, dtype=np.float64)
@@ -283,7 +284,7 @@ class StgormerModel:
 
         bias = (spd_bias(self.spd, self.spd_table, cfg.max_spd)
                 if cfg.use_spd_bias else None)
-        usage = []
+        weights = []
         # Each activation is dropped as soon as it is consumed: without a
         # graph (inference) that frees it before the next one is made.
         for block in self.blocks:
@@ -294,8 +295,10 @@ class StgormerModel:
             h = layer_norm(h, attended, block.norm1_gamma, block.norm1_beta)
             del attended
             if block.router is not None:
-                f, block_usage = moe_forward(h, block.experts, block.router)
-                usage.append(block_usage)
+                f, gate_weights = moe_forward(h, block.experts, block.router)
+                if gate_weights.requires_grad:
+                    weights.append(gate_weights)
+                del gate_weights
             else:
                 f = expert_forward(h, block.experts[0])
             h = layer_norm(h, f, block.norm2_gamma, block.norm2_beta)
@@ -303,7 +306,7 @@ class StgormerModel:
 
         per_node = h.transpose(0, 2, 1, 3).reshape(b, n, t * cfg.hidden_dim)
         out = linear(per_node, self.head_w, self.head_b)
-        return out.reshape(b, n, cfg.horizon, cfg.channels).transpose(0, 2, 1, 3), usage
+        return out.reshape(b, n, cfg.horizon, cfg.channels).transpose(0, 2, 1, 3), weights
 
     def forward(self, x: np.ndarray, timestamps: np.ndarray) -> Tensor:
         """Single-window forward: (T, N, C) plus (T, k) -> (horizon, N, C)."""
@@ -324,25 +327,36 @@ def build(config: StgormerConfig, graph: SpatioTemporalGraph) -> StgormerModel:
     return StgormerModel(config, graph)
 
 
-def loss(pred: Tensor, target: np.ndarray, usage: list[Tensor],
+def loss(pred: Tensor, target: np.ndarray, weights: list[Tensor],
          alpha: float) -> tuple[Tensor, dict]:
-    """Mean absolute error plus alpha times the mean per-layer balance loss.
+    """Mean absolute error plus alpha times the mean per-block balance loss,
+    as one graph node whose parents are ``pred`` and the gate ``weights`` that
+    ``forward_batch`` returns.
 
-    ``usage`` is the per-block gate usage that ``forward_batch`` returns.
+    A block's usage is its mean gate weight per expert over its tokens. The
+    parts are the MAE, the balance term and each block's usage.
     """
     target = np.asarray(target, dtype=np.float64)
     if pred.shape != target.shape:
         raise ValueError(f"prediction shape {pred.shape} != target shape {target.shape}")
-    mae = (pred - Tensor(target)).abs().mean()
-    if usage:
-        lb = None
-        for u in usage:
-            term = load_balance_loss(u)
-            lb = term if lb is None else lb + term
-        lb = lb * (1.0 / len(usage))
-        total = mae + alpha * lb
-        return total, {"mae": mae.item(), "lb": lb.item()}
-    return mae, {"mae": mae.item(), "lb": 0.0}
+    diff = pred.data - target
+    mae = np.abs(diff).sum() * (1 / diff.size)
+    tokens = [w.data.reshape(-1, w.shape[-1]) for w in weights]
+    usage = [t.sum(axis=0) * (1 / len(t)) for t in tokens]
+    lb = sum(load_balance_loss(u) for u in usage) * (1.0 / len(usage)) if usage else 0.0
+    total = mae + lb * alpha
+
+    def back(g: np.ndarray) -> None:
+        if pred.requires_grad:
+            pred._accumulate(np.sign(diff) * (g * (1 / diff.size)))
+        g_lb = g * alpha * (1.0 / len(usage)) if usage else None
+        for w, t, u in zip(weights, tokens, usage):
+            if w.requires_grad:
+                g_u = 2.0 * (u * (g_lb * (1.0 / len(u))))
+                w._accumulate(np.broadcast_to(g_u * (1 / len(t)), t.shape).reshape(w.shape))
+
+    parts = {"mae": float(mae), "lb": float(lb), "usage": usage}
+    return Tensor._result(total, (pred, *weights), back), parts
 
 
 # -- checkpointing -------------------------------------------------------------
@@ -402,15 +416,16 @@ def _crc_fault(fh, size: int) -> str | None:
     return f"CRC-32 {crc:08x} of the contents does not match the stored {stored:08x}"
 
 
-def _read_section(fh, tag: str) -> dict[str, str]:
-    """The ``[tag]`` section's key=value lines, up to the next ``[...]`` line."""
-    line = fh.readline().decode().rstrip("\n")
+def _read_section(fh, tag: str, number: int) -> dict[str, str]:
+    """The ``[tag]`` section's key=value lines, up to the next ``[...]`` line;
+    its header is line ``number`` of the file."""
+    line = kv.read_line(fh, tag, number)
     if line != f"[{tag}]":
         raise ValueError(f"expected [{tag}], got {line!r}")
     items: dict[str, str] = {}
     while True:
         start = fh.tell()
-        line = fh.readline().decode().rstrip("\n")
+        line = kv.read_line(fh, tag, number + 1 + len(items))
         if not line or line.startswith("["):
             fh.seek(start)
             return items
@@ -477,8 +492,10 @@ def load_model(path) -> StgormerModel:
     byte before it, and only then is the body parsed. A damaged file is
     reported as ``corrupt checkpoint: …`` whatever byte was hit, and so is
     every parse error in a body whose checksum holds: a malformed section,
-    manifest or value, a config that fails validation, a non-finite parameter
-    or normalizer value, and a normalizer std ≤ 0 or of the wrong length.
+    manifest or value, a line that is not UTF-8, a config that fails
+    validation, parameters that do not match the config, a non-finite
+    parameter or normalizer value, and a normalizer std ≤ 0 or of the wrong
+    length.
     """
     with open(path, "rb") as fh:
         head = fh.readline(len(_MODEL_MAGIC) + 1)
@@ -490,8 +507,11 @@ def load_model(path) -> StgormerModel:
         # or extended file from a damaged one: its parse errors are not shown
         fh.seek(len(head))
         try:
-            sections = {tag: _read_section(fh, tag) for tag in ("config", "graph", "normalizer")}
-            values = read_param_block(fh)
+            sections, number = {}, 2
+            for tag in ("config", "graph", "normalizer"):
+                sections[tag] = _read_section(fh, tag, number)
+                number += 1 + len(sections[tag])
+            values = read_param_block(fh, number)
             end = fh.tell() + 4
             if end > size:
                 fault = "truncated checksum trailer"
@@ -499,6 +519,7 @@ def load_model(path) -> StgormerModel:
                 fault = "trailing bytes after the checksum trailer"
             if fault is None:
                 config, graph, normalizer = _decode_sections(sections)
+                model = StgormerModel(config, graph, values)
         except ValueError as exc:
             if fault is None:
                 fault = str(exc)
@@ -506,6 +527,5 @@ def load_model(path) -> StgormerModel:
                 fault = "truncated contents"
     if fault is not None:
         raise ValueError(f"corrupt checkpoint: {fault}")
-    model = StgormerModel(config, graph, values)
     model.normalizer = normalizer
     return model

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import Tensor, _in_blocks, linear, softmax
+from .numerics import Tensor, _in_blocks
 
 # Hidden-layer bytes per row block of dense_mixture: 128 tokens at the default
 # width (6 experts of 256), within a 2 MiB per-core L2 cache. On a 2-core host
@@ -40,8 +40,29 @@ class RouterParams:
 
 
 def gate(x: Tensor, router: RouterParams) -> Tensor:
-    """Per-token expert weight distribution (softmax over the gate logits)."""
-    return softmax(linear(x, router.w, router.b))
+    """Per-token expert weights softmax(x W + b) over the trailing axis, as one
+    graph node. Rows are shifted by their max before exp."""
+    w = router.w.data
+    x2 = x.data.reshape(-1, x.shape[-1])
+    probs = x2 @ w
+    probs += router.b.data
+    probs -= probs.max(axis=-1, keepdims=True)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    probs = probs.reshape(x.shape[:-1] + w.shape[1:])
+
+    def back(g: np.ndarray) -> None:
+        d = g - (g * probs).sum(axis=-1, keepdims=True)
+        d *= probs
+        d2 = d.reshape(-1, w.shape[1])
+        if x.requires_grad:
+            x._accumulate((d2 @ w.T).reshape(x.shape))
+        if router.w.requires_grad:
+            router.w._accumulate(x2.T @ d2)
+        if router.b.requires_grad:
+            router.b._accumulate(d2.sum(axis=0))
+
+    return Tensor._result(probs, (x, router.w, router.b), back)
 
 
 def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Tensor:
@@ -151,17 +172,13 @@ def expert_forward(x: Tensor, expert: ExpertParams) -> Tensor:
 
 def moe_forward(x: Tensor, experts: list[ExpertParams],
                 router: RouterParams) -> tuple[Tensor, Tensor]:
-    """Dense soft mixture sum_i gate_i(x) * expert_i(x), plus the gate usage.
-
-    The usage is the mean gate probability per expert over every token of
-    ``x``, kept in the graph so the balance loss backpropagates into the router.
-    """
+    """Dense soft mixture sum_i gate_i(x) * expert_i(x), plus the gate weights,
+    whose mean per expert the balance term of the loss reads."""
     weights = gate(x, router)
-    usage = weights.reshape(-1, weights.shape[-1]).mean(axis=0)
-    return dense_mixture(x, weights, experts), usage
+    return dense_mixture(x, weights, experts), weights
 
 
-def load_balance_loss(usage: Tensor) -> Tensor:
+def load_balance_loss(usage: np.ndarray) -> float:
     """Mean squared usage fraction: (1/E) * sum_i f_i^2 for usage f of length E.
 
     Minimized at uniform usage (value 1/E^2), maximized when one expert

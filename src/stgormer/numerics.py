@@ -16,6 +16,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import kv
+
 __all__ = [
     "Tensor",
     "ParameterStore",
@@ -26,7 +28,6 @@ __all__ = [
     "finite_difference_check",
     "linear",
     "layer_norm",
-    "softmax",
     "write_param_block",
     "read_param_block",
 ]
@@ -133,63 +134,7 @@ class Tensor:
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
-    # -- arithmetic ----------------------------------------------------------
-
-    def __add__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        data = self.data + other.data
-
-        def back(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g, other.data.shape))
-
-        return Tensor._result(data, (self, other), back)
-
-    def __mul__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        data = self.data * other.data
-
-        def back(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g * other.data, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(g * self.data, other.data.shape))
-
-        return Tensor._result(data, (self, other), back)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other) -> "Tensor":
-        other = other if isinstance(other, Tensor) else Tensor(other)
-        data = self.data - other.data
-
-        def back(g: np.ndarray) -> None:
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(g, self.data.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(-g, other.data.shape))
-
-        return Tensor._result(data, (self, other), back)
-
-    # -- reductions and shape ops --------------------------------------------
-
-    def sum(self, axis=None) -> "Tensor":
-        data = self.data.sum(axis=axis)
-        in_shape = self.data.shape
-
-        def back(g: np.ndarray) -> None:
-            if axis is not None:
-                g = np.expand_dims(g, axis)
-            self._accumulate(np.broadcast_to(g, in_shape).copy())
-
-        return Tensor._result(data, (self,), back)
-
-    def mean(self, axis=None) -> "Tensor":
-        total = self.sum(axis=axis)
-        # an exact integer ratio, correctly rounded: the bits of 1 / count
-        return total * (total.data.size / self.data.size)
+    # -- shape ops -------------------------------------------------------------
 
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
@@ -203,8 +148,6 @@ class Tensor:
         return Tensor._result(data, (self,), back)
 
     def transpose(self, *axes) -> "Tensor":
-        if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
-            axes = tuple(axes[0])
         data = self.data.transpose(axes)
         inverse = tuple(np.argsort(axes))
 
@@ -223,17 +166,6 @@ class Tensor:
             self._accumulate(buf)
 
         return Tensor._result(np.array(data), (self,), back)
-
-    # -- elementwise nonlinearities -------------------------------------------
-
-    def abs(self) -> "Tensor":
-        data = np.abs(self.data)
-        sign = np.sign(self.data)
-
-        def back(g: np.ndarray) -> None:
-            self._accumulate(g * sign)
-
-        return Tensor._result(data, (self,), back)
 
 
 # Lanes: contiguous runs of whole row blocks that the row-wise primitives
@@ -300,19 +232,6 @@ def _in_blocks(rows: int, block: int, run, sums=(), scratch=lambda rows: ()) -> 
 
 
 # -- free functions over tensors ----------------------------------------------
-
-
-def softmax(x: Tensor) -> Tensor:
-    """Stable softmax over the trailing axis: rows are shifted by their max before exp."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=-1, keepdims=True)
-
-    def back(g: np.ndarray) -> None:
-        inner = (g * out_data).sum(axis=-1, keepdims=True)
-        x._accumulate(out_data * (g - inner))
-
-    return Tensor._result(out_data, (x,), back)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -611,13 +530,14 @@ def write_param_block(fh, store: ParameterStore) -> None:
         fh.write(np.ascontiguousarray(t.data, dtype="<f8").data)
 
 
-def read_param_block(fh) -> dict[str, np.ndarray]:
+def read_param_block(fh, number: int = 1) -> dict[str, np.ndarray]:
+    """A parameter block whose ``[params]`` line is line ``number`` of the file."""
     manifest: list[tuple[str, tuple[int, ...]]] = []
-    line = fh.readline().decode("utf-8").rstrip("\n")
+    line = kv.read_line(fh, "params", number)
     if line != "[params]":
         raise ValueError(f"expected [params] section, got {line!r}")
     while True:
-        line = fh.readline().decode("utf-8").rstrip("\n")
+        line = kv.read_line(fh, "params", number + 1 + len(manifest))
         if line == "[data]":
             break
         if not line:

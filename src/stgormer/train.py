@@ -89,18 +89,17 @@ def _normalized_dataset(ds: FlowDataset, normalizer) -> FlowDataset:
 # No batch's autodiff graph outlives its batch: training keeps only ndarrays
 # and floats from each forward_batch, so memory does not grow with the number
 # of batches. Validation and evaluation run frozen and build no graph at all.
-def _train_step(model: StgormerModel, opt: AdamState, xs, tss, ys,
-                epoch: int) -> tuple[dict, list[np.ndarray]]:
-    """One optimizer step on a batch; returns the loss parts and the gate usage."""
-    pred, usage = model.forward_batch(xs, tss)
-    total, parts = loss(pred, ys, usage, model.config.alpha)
+def _train_step(model: StgormerModel, opt: AdamState, xs, tss, ys, epoch: int) -> dict:
+    """One optimizer step on a batch; returns the loss parts, gate usage included."""
+    pred, weights = model.forward_batch(xs, tss)
+    total, parts = loss(pred, ys, weights, model.config.alpha)
     if not np.isfinite(total.item()):
         raise DivergenceError(
             f"non-finite loss at epoch {epoch} (mae={parts['mae']}, "
             f"lb={parts['lb']}); lower the learning rate")
     backward(total, model.store)
     adam_step(model.store, opt)
-    return parts, [u.data for u in usage]
+    return parts
 
 
 def _validation_mae(model: StgormerModel, windows, batch_size: int) -> float:
@@ -159,7 +158,8 @@ def train_loop(model: StgormerModel, splits: tuple[FlowDataset, FlowDataset],
         for start in range(0, len(order), tcfg.batch_size):
             batch = order[start:start + tcfg.batch_size]
             xs, tss, ys = _stack_windows(train_windows, batch)
-            parts, fracs = _train_step(model, opt, xs, tss, ys, epoch)
+            parts = _train_step(model, opt, xs, tss, ys, epoch)
+            fracs = parts["usage"]
             abs_sum += parts["mae"] * ys.size
             abs_count += ys.size
             lb_sum += parts["lb"]

@@ -6,6 +6,7 @@ import pytest
 
 from lane_pools import DeferredPool, InlinePool
 from permutation import relabel
+from tensor_ops import mean, mul, sub, total
 from stgormer import numerics
 from stgormer.attention import (AttentionParams, scaled_dot_attention,
                                 spatial_attention, spd_bias,
@@ -93,7 +94,7 @@ class TestScaledDotAttention:
         rng = np.random.default_rng(30)
         p = make_params(rng, 6, 2)
         x = rng.normal(size=(2, 1, 6))
-        out = scaled_dot_attention(Tensor(x), p).data
+        out = scaled_dot_attention(Tensor(x), p, -2).data
         # one score => softmax weight 1 => output projection of value projection
         expected = (x @ p.w_v.data + p.b_v.data) @ p.w_o.data + p.b_o.data
         assert np.max(np.abs(out - expected)) < 1e-12
@@ -103,7 +104,7 @@ class TestScaledDotAttention:
         p = make_params(rng, 4, 2)
         p.w_k.data[:] = 0.0
         x = rng.normal(size=(1, 5, 4))
-        out = scaled_dot_attention(Tensor(x), p).data
+        out = scaled_dot_attention(Tensor(x), p, -2).data
         v = x @ p.w_v.data + p.b_v.data
         expected = np.broadcast_to(v.mean(axis=1, keepdims=True),
                                    x.shape) @ p.w_o.data + p.b_o.data
@@ -113,7 +114,7 @@ class TestScaledDotAttention:
         rng = np.random.default_rng(32)
         p = make_params(rng, 8, 2)
         x = rng.normal(size=(2, 5, 8))
-        got = scaled_dot_attention(Tensor(x), p).data
+        got = scaled_dot_attention(Tensor(x), p, -2).data
         assert np.max(np.abs(got - attention_oracle(x, p))) < 1e-10
 
     def test_oracle_with_bias(self):
@@ -121,15 +122,17 @@ class TestScaledDotAttention:
         p = make_params(rng, 8, 4)
         x = rng.normal(size=(3, 4, 8))
         bias = rng.normal(size=(4, 4))
-        got = scaled_dot_attention(Tensor(x), p, bias=Tensor(bias)).data
+        got = scaled_dot_attention(Tensor(x), p, -2, Tensor(bias)).data
         assert np.max(np.abs(got - attention_oracle(x, p, bias))) < 1e-10
 
     def test_bias_shape_checked(self):
         rng = np.random.default_rng(34)
         p = make_params(rng, 4, 1)
         with pytest.raises(ValueError, match="bias"):
-            scaled_dot_attention(Tensor(rng.normal(size=(1, 3, 4))), p,
+            scaled_dot_attention(Tensor(rng.normal(size=(1, 3, 4))), p, -2,
                                  bias=Tensor(np.zeros((2, 2))))
+        with pytest.raises(ValueError, match="axis -3"):
+            scaled_dot_attention(Tensor(rng.normal(size=(3, 4))), p, -3)
 
     def test_gradients(self):
         rng = np.random.default_rng(35)
@@ -140,9 +143,9 @@ class TestScaledDotAttention:
         target = rng.normal(size=(2, 4, 6))
 
         def fwd():
-            out = scaled_dot_attention(Tensor(x), p, bias=bias)
-            diff = out - Tensor(target)
-            return (diff * diff).mean()
+            out = scaled_dot_attention(Tensor(x), p, -2, bias)
+            diff = sub(out, Tensor(target))
+            return mean(mul(diff, diff))
 
         assert finite_difference_check(fwd, store) < 1e-4
 
@@ -153,6 +156,7 @@ class TestAttentionLanes:
     # 384-row blocks: 96 sequences of 4, or 9 groups of 10 sequences of 4,
     # so each shape is 5 blocks in lanes [0, 1] and [2, 3, 4]
     SHAPES = {"spatial": (400, 4, 4), "temporal": (40, 4, 10, 4)}
+    AXES = {"spatial": -2, "temporal": -3}
 
     def inputs(self, layout, store=None, probed=("params", "bias")):
         """x, the parameters and the bias. With a store, the ``probed`` groups
@@ -174,10 +178,10 @@ class TestAttentionLanes:
     def run(self, layout):
         """Forward output, then the gradients of x, each parameter and the bias."""
         x, p, bias = self.inputs(layout)
-        out = scaled_dot_attention(x, p, bias=bias)
+        out = scaled_dot_attention(x, p, self.AXES[layout], bias)
         target = np.random.default_rng(96).normal(size=x.shape)
-        diff = out - Tensor(target)
-        (diff * diff).sum().backward()
+        diff = sub(out, Tensor(target))
+        total(mul(diff, diff)).backward()
         tensors = [x, p.w_q, p.b_q, p.w_k, p.w_v, p.b_v, p.w_o, p.b_o, bias]
         return [out.data] + [t.grad for t in tensors]
 
@@ -191,7 +195,7 @@ class TestAttentionLanes:
     def test_forward_is_bitwise_the_unfused_composition(self, layout):
         x, p, bias = self.inputs(layout)
         for b in (None, bias):
-            got = scaled_dot_attention(x, p, bias=b).data
+            got = scaled_dot_attention(x, p, self.AXES[layout], b).data
             want = unfused_attention(x.data, p, None if b is None else b.data)
             assert got.tobytes() == want.tobytes()
 
@@ -252,8 +256,9 @@ class TestAttentionLanes:
             x, p, bias = self.inputs(layout, store, probed)
 
             def fwd():
-                out = scaled_dot_attention(x, p, bias=bias if with_bias else None)
-                return (out * weights).sum()
+                out = scaled_dot_attention(x, p, self.AXES[layout],
+                                           bias if with_bias else None)
+                return total(mul(out, weights))
 
             assert finite_difference_check(fwd, store) < 1e-6, probed
 
@@ -264,7 +269,7 @@ class TestTemporalAttention:
         p = make_params(rng, 6, 2)
         h = rng.normal(size=(5, 1, 6))
         got = temporal_attention(Tensor(h), p).data
-        plain = scaled_dot_attention(Tensor(h[:, 0, :][None]), p).data
+        plain = scaled_dot_attention(Tensor(h[:, 0, :][None]), p, -2).data
         assert np.max(np.abs(got[:, 0, :] - plain[0])) < 1e-12
 
     def test_node_locality(self):
@@ -286,7 +291,7 @@ class TestTemporalAttention:
         got = temporal_attention(Tensor(h), p).data
         for n in range(3):
             seq = h[:, n, :][None]
-            expected = scaled_dot_attention(Tensor(seq), p).data[0]
+            expected = scaled_dot_attention(Tensor(seq), p, -2).data[0]
             assert np.max(np.abs(got[:, n, :] - expected)) < 1e-12
 
     def test_batched_input(self):
@@ -442,7 +447,7 @@ class TestSpatialAttention:
                 x, p1, bias=spd_bias(spd, tables[0], max_spd=4))
             out = spatial_attention(
                 out, p2, bias=spd_bias(spd, tables[1], max_spd=4))
-            return (out * out).sum()
+            return total(mul(out, out))
 
         shared_store = ParameterStore()
         shared = shared_store.add("table", table_values)
@@ -470,7 +475,7 @@ class TestSpatialAttention:
         def fwd():
             bias = spd_bias(spd, table, max_spd=4)
             out = spatial_attention(Tensor(h), p, bias=bias)
-            diff = out - Tensor(target)
-            return (diff * diff).mean()
+            diff = sub(out, Tensor(target))
+            return mean(mul(diff, diff))
 
         assert finite_difference_check(fwd, store) < 1e-4

@@ -363,6 +363,18 @@ class TestEval:
         assert f"corrupt checkpoint: non-finite values in {named}" in capsys.readouterr().err
         assert not (workspace / "report.txt").exists()
 
+    def test_non_finite_metric_exit_code(self, workspace, capsys):
+        # finite parameters whose forecasts are finite but large: err ** 2 overflows
+        ckpt = train_run(workspace) / "model.ckpt"
+        model = load_model(ckpt)
+        model.store["head.w"].data[:] = 1e306
+        save_model(model, ckpt)
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace / "data"),
+                     "--out", str(workspace / "report.txt")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith("error: non-finite metrics rmse=inf")
+        assert not (workspace / "report.txt").exists()
+
     def test_node_count_mismatch(self, workspace, tmp_path, capsys):
         out = train_run(workspace)
         (tmp_path / "other.txt").write_text(
@@ -478,6 +490,23 @@ class TestPredict:
         assert code == 2
         assert ("corrupt checkpoint: non-finite values in parameter 'head.b'"
                 in capsys.readouterr().err)
+        assert not forecast.exists()
+
+    def test_non_finite_forecast_exit_code(self, workspace, capsys):
+        # a finite checkpoint whose forecast, about 1e10 before the normalizer
+        # scales it by 1e300, overflows
+        ckpt = train_run(workspace) / "model.ckpt"
+        model = load_model(ckpt)
+        model.store["head.b"].data[:] = 1e10
+        model.normalizer.std[:] = 1e300
+        save_model(model, ckpt)
+        window, wts, _, _ = self.make_window(workspace, 6)
+        forecast = workspace / "forecast.txt"
+        code = main(["predict", "--checkpoint", str(ckpt), "--window", str(window),
+                     "--timestamps", str(wts), "--out", str(forecast)])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: 6 of 6 forecast values are not finite; no forecast written\n")
         assert not forecast.exists()
 
     def test_wrong_window_length(self, workspace, capsys):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from permutation import relabel
+from tensor_ops import mean, mul, sub
 from stgormer.encoding import (DegreeEmbeddingTables, Time2VecParams,
                                fuse_inputs, spatial_input_encoding,
                                temporal_input_encoding)
@@ -223,7 +224,7 @@ class TestFuseInputs:
             s_enc = (spatial_input_encoding(g, DegreeEmbeddingTables(zm, zp, 4))
                      if use_degree else None)
             out = fuse_inputs(Tensor(x), t_enc, s_enc, fw, fb)
-            diff = out - Tensor(target)
-            return (diff * diff).mean()
+            diff = sub(out, Tensor(target))
+            return mean(mul(diff, diff))
 
         assert finite_difference_check(fwd, store) < 1e-4

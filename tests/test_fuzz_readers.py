@@ -14,6 +14,7 @@ import dataclasses
 import io
 import re
 import shutil
+import zlib
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from stgormer.data import (FlowFormatError, Normalizer, SyntheticSpec, load_flow
                            load_timestamps, save_timestamps, step_timestamps,
                            write_flow_tensor)
 from stgormer.graph import GraphFormatError, SpatioTemporalGraph, load_graph, save_graph
-from stgormer.model import StgormerConfig, build, save_model
+from stgormer.model import StgormerConfig, build, load_model, save_model
 from stgormer.train import TrainConfig
 
 NODES = 4
@@ -246,6 +247,49 @@ def test_timestamp_reader_through_predict(bench, case):
     wrote = check_predict(bench, bench["root"] / "window.txt", timestamps)
     if spelled is not None:
         assert wrote == (spelled.shape == (CONFIG.input_len, CONFIG.temporal_features))
+
+
+# -- checkpoints with one byte changed under a valid checksum ---------------------------
+
+@settings(FUZZ, max_examples=80)
+@given(data=st.data())
+def test_resealed_checkpoint_through_predict_and_eval(bench, data):
+    # the checkpoint is refused as corrupt, or predict and eval either write
+    # finite output or refuse with exit 3 and write nothing
+    body = (bench["root"] / "model.ckpt").read_bytes()[:-4]
+    payload = body.index(b"\n[data]\n") + len(b"\n[data]\n")
+    # a byte of the text sections (after the magic line) or of the payload
+    lo, hi = data.draw(st.sampled_from([(body.index(b"\n") + 1, payload), (payload, len(body))]))
+    at = data.draw(st.integers(lo, hi - 1))
+    byte = data.draw(st.integers(0, 255).filter(lambda b: b != body[at]))
+    root = bench["root"] / "resealed"
+    shutil.rmtree(root, ignore_errors=True)
+    root.mkdir()
+    body = body[:at] + bytes([byte]) + body[at + 1:]
+    (root / "model.ckpt").write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+    try:
+        model = load_model(root / "model.ckpt")
+    except ValueError as exc:
+        assert str(exc).startswith("corrupt checkpoint: "), exc
+        return
+    # inputs on the graph the checkpoint now holds, which may have other nodes or edges
+    flows = np.random.default_rng(1).uniform(0.0, 10.0, size=(STEPS, model.graph.num_nodes, 1))
+    save_graph(model.graph, root / "graph.txt")
+    write_flow_tensor(root / "flows.txt", flows)
+    save_timestamps(root / "timestamps.txt", step_timestamps(STEPS, 8))
+    write_flow_tensor(root / "window.txt", flows[:CONFIG.input_len])
+    save_timestamps(root / "window_ts.txt", step_timestamps(CONFIG.input_len, 8))
+    for argv, out in ((predict_argv(root, root / "window.txt", root / "window_ts.txt"),
+                       root / "forecast.txt"),
+                      (["eval", "--checkpoint", str(root / "model.ckpt"), "--data", str(root),
+                        "--out", str(root / "report.txt")], root / "report.txt")):
+        code, err = run(argv)
+        assert code in (0, 3), err
+        assert out.exists() == (code == 0)
+        if code == 0:
+            values = (np.loadtxt(out, delimiter=",", skiprows=1) if out.name == "forecast.txt"
+                      else [float(kv.read_file(out)[k]) for k in ("mae", "rmse", "mape")])
+            assert np.isfinite(values).all()
 
 
 # -- key=value files: synth --spec and train --config -------------------------------

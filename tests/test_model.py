@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from permutation import relabel
+from tensor_ops import absolute, add, mean, mul, sub, total
 from traced_memory import kept_bytes, peak_bytes, tracing
 import stgormer.model
 from stgormer.cli import main
@@ -236,14 +237,47 @@ class TestAblationEquivalences:
         cfg = small_config(use_moe=False)
         model = build(cfg, g)
         x, ts, y = sample_inputs(cfg, g.num_nodes)
-        pred, usage = model.forward_batch(x[None], ts[None])
-        assert usage == []
-        total, parts = loss(pred, y[None], usage, cfg.alpha)
-        assert parts["lb"] == 0.0
+        pred, weights = model.forward_batch(x[None], ts[None])
+        assert weights == []
+        total, parts = loss(pred, y[None], weights, cfg.alpha)
+        assert parts["lb"] == 0.0 and parts["usage"] == []
         assert total.item() == parts["mae"]
 
 
+def composed_loss(pred, target, weights, alpha):
+    """The loss as the graph of small ops that the one loss node replaced."""
+    mae = mean(absolute(sub(pred, Tensor(target))))
+    if not weights:
+        return mae
+    lb = None
+    for w in weights:
+        usage = mean(w.reshape(-1, w.shape[-1]), axis=0)
+        term = mul(total(mul(usage, usage)), 1.0 / float(usage.shape[-1]))
+        lb = term if lb is None else add(lb, term)
+    return add(mae, mul(mul(lb, 1.0 / len(weights)), alpha))
+
+
 class TestLoss:
+    @pytest.mark.parametrize("overrides", [{}, {"block_order": "STS"}, {"use_moe": False}])
+    def test_one_node_is_bitwise_the_composed_loss(self, overrides):
+        # the value and the gradients, into the loss's own inputs and through
+        # the model into every parameter
+        cfg = small_config(**overrides)
+        model = build(cfg, small_graph())
+        x, ts, y = sample_inputs(cfg, 6, seed=5)
+
+        def run(objective):
+            pred, weights = model.forward_batch(x[None], ts[None])
+            leaves = [Tensor(t.data, requires_grad=True) for t in [pred, *weights]]
+            value = objective(leaves[0], y[None], leaves[1:], cfg.alpha)
+            value.backward()
+            backward(objective(pred, y[None], weights, cfg.alpha), model.store)
+            return [value.data] + [t.grad for t in leaves] + [t.grad for _, t in model.store.items()]
+
+        fused = run(lambda *args: loss(*args)[0])
+        for got, want in zip(fused, run(composed_loss), strict=True):
+            assert got.tobytes() == want.tobytes()
+
     def test_zero_residual(self):
         pred = Tensor(np.array([1.0, 2.0]))
         total, parts = loss(pred, np.array([1.0, 2.0]), [], 0.5)
@@ -251,16 +285,16 @@ class TestLoss:
         assert total.item() == 0.0
 
     def test_alpha_zero_collapses_to_mae(self):
-        usage = Tensor([0.7, 0.1, 0.1, 0.1])
+        weights = Tensor([0.7, 0.1, 0.1, 0.1])
         pred = Tensor(np.array([2.0, 0.0]))
-        total, parts = loss(pred, np.zeros(2), [usage], 0.0)
+        total, parts = loss(pred, np.zeros(2), [weights], 0.0)
         assert total.item() == parts["mae"] == 1.0
 
     def test_hand_evaluated_total(self):
         pred = Tensor(np.array([1.0, -2.0, 3.0]))
         target = np.zeros(3)
-        usage = Tensor([1.0 / 6.0] * 6)
-        total, parts = loss(pred, target, [usage], 0.01)
+        weights = Tensor([1.0 / 6.0] * 6)
+        total, parts = loss(pred, target, [weights], 0.01)
         assert parts["mae"] == 2.0
         assert abs(parts["lb"] - 1.0 / 36.0) < 1e-15
         assert abs(total.item() - (2.0 + 0.01 / 36.0)) < 1e-15
@@ -434,7 +468,7 @@ class TestFullGradient:
                 interior[id(node)] = node
                 stack.extend(node._prev)
         backward(total, model.store)
-        assert len(interior) == 48
+        assert len(interior) == 21
         assert all(n.grad is None and n._backward_fn is None for n in interior.values())
         assert all(t.grad is not None for _, t in model.store.items())
 
@@ -690,10 +724,14 @@ class TestResealedCheckpointThroughMain:
         (rb"\nhead\.b 1\n", b"\nhead.b -2\n",
          "parameter 'head.b' has extent '-2', not a non-negative integer"),
         (rb"\n\[data\]\n", b"\n[date]\n", "expected [data] after the manifest, got '[date]'"),
-        (rb"\nalpha=", b"\nalpha\xff=", "'utf-8' codec can't decode byte 0xff"),
+        (rb"\nalpha=", b"\nalpha\xff=",
+         "[config] line 3 is not UTF-8: 'utf-8' codec can't decode byte 0xff in position 5"),
+        (rb"\nhead\.b 1\n", b"\nhead.b\xff 1\n", "[params] line 89 is not UTF-8"),
         (rb"\nhidden_dim=8\n", b"\nhidden_dim=0\n", "hidden_dim must be >= 1"),
+        (rb"\nhead\.b 1\n", b"\nhead.c 1\n",
+         "checkpoint incompatible with its config: missing=['head.b'] unexpected=['head.c']"),
     ], ids=["present-maybe", "extent-x", "extent-negative", "data-renamed", "config-0xff",
-            "config-invalid"])
+            "params-0xff", "config-invalid", "manifest-renamed"])
     def test_malformed_body_through_encode(self, tmp_path, capsys, pattern, replacement,
                                            message):
         graph = small_graph()

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lane_pools import DeferredPool, InlinePool
+from tensor_ops import add, mean, mul, sub, total
 from traced_memory import kept_bytes
 from stgormer import model, moe, numerics
 from stgormer.moe import (_BLOCK_BYTES, ExpertParams, RouterParams, dense_mixture, gate,
@@ -29,10 +30,16 @@ def make_expert(rng, width, hidden, store=None, prefix="expert"):
 
 
 def unfused_expert(x, expert):
-    """One expert as a graph of engine ops: linear, relu, linear. The relu is
+    """One expert as a graph of small ops: linear, relu, linear. The relu is
     a product with a constant mask, whose gradient is the relu's."""
     a = linear(x, expert.w1, expert.b1)
-    return linear(a * Tensor(a.data > 0), expert.w2, expert.b2)
+    return linear(mul(a, Tensor(a.data > 0)), expert.w2, expert.b2)
+
+
+def balance(weights: Tensor) -> Tensor:
+    """0.1 times the balance loss of one block's gate weights, from the loss
+    node: its MAE, of a zero prediction against a zero target, adds nothing."""
+    return model.loss(Tensor(np.zeros(1)), np.zeros(1), [weights], 0.1)[0]
 
 
 def make_router(rng, width, experts, store=None, prefix="router"):
@@ -131,20 +138,20 @@ class TestMoEForward:
         target = rng.normal(size=(4, 3))
 
         def fwd():
-            out, usage = moe_forward(Tensor(x), experts, router)
-            diff = out - Tensor(target)
-            err = (diff * diff).mean()
-            return err + 0.1 * load_balance_loss(usage)
+            out, weights = moe_forward(Tensor(x), experts, router)
+            diff = sub(out, Tensor(target))
+            err = mean(mul(diff, diff))
+            return add(err, balance(weights))
 
         assert finite_difference_check(fwd, store) < 1e-4
 
 
 def loop_mixture(x, weights, experts):
-    """Per-expert reference: sum_i weights[..., i] * expert_i(x) from engine ops."""
+    """Per-expert reference: sum_i weights[..., i] * expert_i(x) from small ops."""
     out = None
     for i, expert in enumerate(experts):
-        term = weights[..., i:i + 1] * unfused_expert(x, expert)
-        out = term if out is None else out + term
+        term = mul(weights[..., i:i + 1], unfused_expert(x, expert))
+        out = term if out is None else add(out, term)
     return out
 
 
@@ -168,8 +175,8 @@ class TestDenseMixture:
             for t in tensors:
                 t.grad = None
             out = combine(x, weights, experts)
-            diff = out - target
-            (diff * diff).sum().backward()
+            diff = sub(out, target)
+            total(mul(diff, diff)).backward()
             return out.data, [t.grad for t in tensors]
 
         fused, fused_grads = run(dense_mixture)
@@ -191,9 +198,9 @@ class TestDenseMixture:
         target = rng.normal(size=(tokens, 3))
 
         def fwd():
-            out, usage = moe_forward(x, experts, router)
-            diff = out - Tensor(target)
-            return (diff * diff).mean() + 0.1 * load_balance_loss(usage)
+            out, weights = moe_forward(x, experts, router)
+            diff = sub(out, Tensor(target))
+            return add(mean(mul(diff, diff)), balance(weights))
 
         # a step of 1e-5 moves a coordinate of x across a relu kink (5e-3, the
         # same in a one-lane run); at 1e-6 round-off on the smallest gradients
@@ -224,9 +231,9 @@ class TestDenseMixture:
         target = rng.normal(size=(2, 4, 3))
 
         def fwd():
-            out, usage = moe_forward(Tensor(x), experts, router)
-            diff = out - Tensor(target)
-            return (diff * diff).mean() + 0.1 * load_balance_loss(usage)
+            out, weights = moe_forward(Tensor(x), experts, router)
+            diff = sub(out, Tensor(target))
+            return add(mean(mul(diff, diff)), balance(weights))
 
         assert finite_difference_check(fwd, store) < 1e-4
 
@@ -243,8 +250,8 @@ class TestDenseMixture:
 
         def fwd():
             out, _ = moe_forward(Tensor(x), experts, router)
-            diff = out - Tensor(target)
-            return (diff * diff).mean()
+            diff = sub(out, Tensor(target))
+            return mean(mul(diff, diff))
 
         assert finite_difference_check(fwd, store) < 1e-4
         for e in frozen:
@@ -310,8 +317,8 @@ class TestLanes:
         weights = Tensor(rng.dirichlet(np.ones(self.COUNT), size=lead), requires_grad=True)
         target = Tensor(rng.normal(size=x.shape))
         out = dense_mixture(x, weights, experts)
-        diff = out - target
-        (diff * diff).sum().backward()
+        diff = sub(out, target)
+        total(mul(diff, diff)).backward()
         return [out.data] + [t.grad for t in [x, weights] + params]
 
     def test_split_into_contiguous_lanes_of_whole_blocks(self):
@@ -381,13 +388,13 @@ class TestLanes:
 
 class TestLoadBalanceLoss:
     def test_uniform_four_experts(self):
-        assert load_balance_loss(Tensor([0.25, 0.25, 0.25, 0.25])).item() == 0.0625
+        assert load_balance_loss(np.array([0.25, 0.25, 0.25, 0.25])) == 0.0625
 
     def test_fully_collapsed(self):
-        assert load_balance_loss(Tensor([1.0, 0.0, 0.0, 0.0])).item() == 0.25
+        assert load_balance_loss(np.array([1.0, 0.0, 0.0, 0.0])) == 0.25
 
     def test_hand_evaluated_two_experts(self):
-        assert abs(load_balance_loss(Tensor([0.9, 0.1])).item() - 0.41) < 1e-15
+        assert abs(load_balance_loss(np.array([0.9, 0.1])) - 0.41) < 1e-15
 
     @given(st.integers(2, 6), st.lists(st.floats(0.01, 10.0), min_size=2,
                                        max_size=6))
@@ -395,7 +402,7 @@ class TestLoadBalanceLoss:
     def test_bounds_on_simplex(self, experts, raw):
         raw = (raw * experts)[:experts]
         point = np.array(raw) / np.sum(raw)
-        value = load_balance_loss(Tensor(point)).item()
+        value = load_balance_loss(point)
         lower, upper = 1.0 / experts ** 2, 1.0 / experts
         assert lower - 1e-12 <= value <= upper + 1e-12
         if np.max(np.abs(point - 1.0 / experts)) > 1e-6:
@@ -403,16 +410,16 @@ class TestLoadBalanceLoss:
 
     def test_minimum_exactly_at_uniform(self):
         for experts in (2, 4, 6):
-            usage = Tensor([1.0 / experts] * experts)
-            assert abs(load_balance_loss(usage).item() - 1.0 / experts ** 2) < 1e-12
+            usage = np.array([1.0 / experts] * experts)
+            assert abs(load_balance_loss(usage) - 1.0 / experts ** 2) < 1e-12
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(58)
         point = rng.dirichlet(np.ones(5))
-        base = load_balance_loss(Tensor(point)).item()
+        base = load_balance_loss(point)
         for _ in range(5):
             perm = rng.permutation(5)
-            shuffled = load_balance_loss(Tensor(point[perm])).item()
+            shuffled = load_balance_loss(point[perm])
             assert abs(base - shuffled) < 1e-15
 
 
@@ -420,7 +427,8 @@ class TestGateUsage:
     def usage_of(self, x, router):
         rng = np.random.default_rng(60)
         experts = [make_expert(rng, x.shape[-1], 3) for _ in range(router.b.shape[0])]
-        return moe_forward(Tensor(x), experts, router)[1].data
+        out, weights = moe_forward(Tensor(x), experts, router)
+        return model.loss(out, out.data, [weights], 0.0)[1]["usage"][0]
 
     def test_single_token_average(self):
         router = RouterParams(w=Tensor(np.zeros((2, 2))), b=Tensor(np.log([0.3, 0.7])))
@@ -439,7 +447,7 @@ class TestGateUsage:
         rng = np.random.default_rng(66)
         router = make_router(rng, 4, 3)
         x = rng.normal(size=(2, 5, 4))
-        expected = gate(Tensor(x), router).reshape(-1, 3).mean(axis=0).data
+        expected = mean(gate(Tensor(x), router).reshape(-1, 3), axis=0).data
         assert self.usage_of(x, router).tobytes() == expected.tobytes()
 
     def test_fractions_sum_to_one(self):

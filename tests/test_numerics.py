@@ -12,15 +12,24 @@ from hypothesis import strategies as st
 
 from lane_pools import DeferredPool, InlinePool
 from traced_memory import kept_bytes
+from tensor_ops import absolute, add, mean, mul, sub, total
 from stgormer import numerics
+from stgormer.moe import RouterParams, gate
 from stgormer.numerics import (AdamState, ParameterStore, Tensor, _lanes, adam_step,
                                backward, finite_difference_check,
                                layer_norm, linear, read_param_block,
-                               scheduled_lr, softmax, write_param_block)
+                               scheduled_lr, write_param_block)
 
 
 def square(t: Tensor) -> Tensor:
-    return t * t
+    return mul(t, t)
+
+
+def softmax(x: Tensor) -> Tensor:
+    """The router node's softmax over the trailing axis: moe.gate under an
+    identity map, which changes no bit of its input."""
+    n = x.shape[-1]
+    return gate(x, RouterParams(Tensor(np.eye(n)), Tensor(np.zeros(n))))
 
 
 def triple_loop_matmul(x, w, b):
@@ -171,8 +180,8 @@ class TestLayerNormLanes:
         tensors = self.tensors()
         out = layer_norm(*tensors)
         target = np.random.default_rng(91).normal(size=self.SHAPE)
-        diff = out - Tensor(target)
-        (diff * diff).sum().backward()
+        diff = sub(out, Tensor(target))
+        total(mul(diff, diff)).backward()
         return [out.data] + [t.grad for t in tensors]
 
     def test_spans_two_lanes(self):
@@ -233,7 +242,7 @@ class TestLayerNormLanes:
             tensors = self.tensors(store, probed)
 
             def fwd():
-                return (layer_norm(*tensors) * weights).sum()
+                return total(mul(layer_norm(*tensors), weights))
 
             assert finite_difference_check(fwd, store) < 1e-5, probed
 
@@ -303,21 +312,21 @@ class TestBackward:
     def test_sum_of_squares_gradient(self):
         store = ParameterStore()
         p = store.add("p", np.array([1.0, -2.0, 3.0]))
-        backward((p * p).sum(), store)
+        backward(total(mul(p, p)), store)
         assert np.array_equal(p.grad, 2.0 * p.data)
 
     def test_unused_parameter_gets_zero(self):
         store = ParameterStore()
         p = store.add("used", np.array([1.0, 2.0]))
         q = store.add("unused", np.array([5.0]))
-        backward((p * p).sum(), store)
+        backward(total(mul(p, p)), store)
         assert np.array_equal(q.grad, np.zeros(1))
 
     def test_loss_must_be_scalar(self):
         store = ParameterStore()
         p = store.add("p", np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="scalar"):
-            backward(p * p, store)
+            backward(mul(p, p), store)
 
     def test_linear_in_loss(self):
         rng = np.random.default_rng(5)
@@ -326,17 +335,17 @@ class TestBackward:
         x = Tensor(rng.normal(size=(2, 3)))
 
         def make_loss():
-            return softmax(linear(x, p, Tensor(np.zeros(3)))).sum(axis=0).mean()
+            return mean(total(gate(x, RouterParams(p, Tensor(np.zeros(3)))), axis=0))
 
         backward(make_loss(), store)
         g1 = p.grad.copy()
-        backward(make_loss() * 3.5, store)
+        backward(mul(make_loss(), 3.5), store)
         assert np.max(np.abs(p.grad - 3.5 * g1)) < 1e-12
 
     def test_gradient_accumulates_across_shared_use(self):
         store = ParameterStore()
         p = store.add("p", np.array([2.0]))
-        backward((p * p + p * 3.0).sum(), store)
+        backward(total(add(mul(p, p), mul(p, 3.0))), store)
         assert p.grad.tolist() == [2 * 2.0 + 3.0]
 
     @pytest.mark.parametrize("sum_first", [True, False])
@@ -346,13 +355,13 @@ class TestBackward:
         # the sibling's gradient, whichever contribution arrives first
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         b = Tensor(np.array([3.0, 4.0]), requires_grad=True)
-        s = a + b
+        s = add(a, b)
         received = []
         back = s._backward_fn
         s._backward_fn = lambda g: (received.append(g), back(g))
-        via_sum = (s * np.array([1.0, 10.0])).sum()
-        direct = (a * 100.0).sum() + (b * 1000.0).sum()
-        (via_sum + direct if sum_first else direct + via_sum).backward()
+        via_sum = total(mul(s, np.array([1.0, 10.0])))
+        direct = add(total(mul(a, 100.0)), total(mul(b, 1000.0)))
+        (add(via_sum, direct) if sum_first else add(direct, via_sum)).backward()
         # backward releases s's gradient; the buffer it handed on must be intact
         assert received[0].tolist() == [1.0, 10.0]
         assert a.grad.tolist() == [101.0, 110.0]
@@ -360,7 +369,7 @@ class TestBackward:
 
     def test_second_backward_raises(self):
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        loss = (a * a).sum()
+        loss = total(mul(a, a))
         loss.backward()
         with pytest.raises(RuntimeError, match="earlier backward consumed"):
             loss.backward()
@@ -368,10 +377,10 @@ class TestBackward:
 
     def test_new_loss_on_a_consumed_node_raises(self):
         a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        h = a * a
-        h.sum().backward()
+        h = mul(a, a)
+        total(h).backward()
         with pytest.raises(RuntimeError, match="earlier backward consumed"):
-            (h * 3.0).sum().backward()
+            total(mul(h, 3.0)).backward()
 
 
 class TestFrozenStore:
@@ -379,7 +388,7 @@ class TestFrozenStore:
         store = ParameterStore()
         p = store.add("p", np.array([1.0, 2.0]))
         with store.frozen():
-            out = (p * p).sum()
+            out = total(mul(p, p))
         assert not out.requires_grad
         assert out._prev == () and out._backward_fn is None
         assert p.requires_grad
@@ -404,11 +413,11 @@ class TestFrozenStore:
     def test_backward_inside_is_rejected(self):
         store = ParameterStore()
         p = store.add("p", np.array([1.0, 2.0]))
-        loss = (p * p).sum()
+        loss = total(mul(p, p))
         with store.frozen():
             with pytest.raises(ValueError, match="frozen parameter store"):
                 backward(loss, store)
-            frozen_loss = (p * p).sum()
+            frozen_loss = total(mul(p, p))
         with pytest.raises(ValueError, match="no autodiff graph"):
             backward(frozen_loss, store)
         assert p.grad is None
@@ -423,7 +432,7 @@ class TestFrozenStore:
         store = ParameterStore()
         p = store.add("p", np.array([1.0, 2.0]))
         assert p.grad is None
-        backward((p * p).sum(), store)
+        backward(total(mul(p, p)), store)
         assert np.array_equal(p.grad, np.array([2.0, 4.0]))
 
     def test_add_copies_a_read_only_value_into_a_writable_parameter(self):
@@ -463,7 +472,7 @@ class TestAdam:
         state = AdamState(lr=0.001)
         prev = abs(p.data[0])
         for step in range(100):
-            backward((p * p).sum(), store)
+            backward(total(mul(p, p)), store)
             adam_step(store, state)
             cur = abs(p.data[0])
             if step >= 5:
@@ -479,7 +488,7 @@ class TestAdam:
             state = AdamState(lr=0.01)
             for _ in range(20):
                 y = linear(x, p, Tensor(np.zeros(4)))
-                backward((y * y).sum(), store)
+                backward(total(mul(y, y)), store)
                 adam_step(store, state)
             return p.data.copy()
 
@@ -507,7 +516,7 @@ class TestFiniteDifference:
         store = ParameterStore()
         w = np.array([1.5, -2.0, 0.5])
         p = store.add("p", np.array([0.3, 0.7, -0.2]))
-        err = finite_difference_check(lambda: (p * Tensor(w)).sum(), store)
+        err = finite_difference_check(lambda: total(mul(p, Tensor(w))), store)
         assert err < 1e-10
 
     def test_softmax_composition(self):
@@ -518,9 +527,9 @@ class TestFiniteDifference:
         target = Tensor(rng.normal(size=(5, 3)))
 
         def fwd():
-            probs = softmax(linear(x, p, Tensor(np.zeros(3))))
-            diff = probs - target
-            return (diff * diff).mean()
+            probs = gate(x, RouterParams(p, Tensor(np.zeros(3))))
+            diff = sub(probs, target)
+            return mean(mul(diff, diff))
 
         assert finite_difference_check(fwd, store, step=1e-5) < 1e-6
 
@@ -535,7 +544,7 @@ class TestFiniteDifference:
                 p.grad *= 1.10
 
         def fwd():
-            out = (p * p).sum()
+            out = total(mul(p, p))
             bad = Corrupted(out.data)
             bad.requires_grad = out.requires_grad
             bad._prev = out._prev
@@ -551,7 +560,7 @@ class TestFiniteDifference:
 
         def fwd():
             counter[0] += 1
-            return (p * float(counter[0])).sum()
+            return total(mul(p, float(counter[0])))
 
         with pytest.raises(RuntimeError, match="deterministic"):
             finite_difference_check(fwd, store)
@@ -564,7 +573,7 @@ class TestFiniteDifference:
 
         def fwd():
             calls[0] += 1
-            return (p * p).sum()
+            return total(mul(p, p))
 
         err = finite_difference_check(fwd, store, max_coords=200)
         # cancellation in the 500-term sum dominates; analytic grad is exact
@@ -584,41 +593,41 @@ class TestPrimitiveGradients:
         assert finite_difference_check(lambda: build_loss(*params), store) < tol
 
     def test_add_mul_sub(self):
-        self.check(lambda a, b: ((a + b) * (a - b) * (b * b + 3.0)).sum(),
+        self.check(lambda a, b: total(mul(mul(add(a, b), sub(a, b)), add(mul(b, b), 3.0))),
                    [(3, 4), (3, 4)])
 
     def test_broadcast_add(self):
-        self.check(lambda a, b: square(a + b).mean(), [(3, 4), (4,)])
+        self.check(lambda a, b: mean(square(add(a, b))), [(3, 4), (4,)])
 
     def test_matmul(self):
-        self.check(lambda a, b: linear(a, b, Tensor(np.zeros(2))).sum(), [(3, 4), (4, 2)])
+        self.check(lambda a, b: total(linear(a, b, Tensor(np.zeros(2)))), [(3, 4), (4, 2)])
 
     def test_linear_without_bias(self):
         # a constant zero bias, outside the store
-        self.check(lambda x, w: square(linear(x, w, Tensor(np.zeros(5)))).sum(),
+        self.check(lambda x, w: total(square(linear(x, w, Tensor(np.zeros(5))))),
                    [(2, 3, 4), (4, 5)])
 
     def test_reductions(self):
-        self.check(lambda a: a.sum(axis=0).mean() + a.mean(axis=(0, 1)).sum(),
+        self.check(lambda a: add(mean(total(a, axis=0)), total(mean(a, axis=(0, 1)))),
                    [(3, 4, 2)])
 
     def test_reshape_transpose_slice(self):
-        self.check(lambda a: square(a.reshape(6, 2).transpose(1, 0)[:, 1:4]).sum(),
+        self.check(lambda a: total(square(a.reshape(6, 2).transpose(1, 0)[:, 1:4])),
                    [(3, 4)])
 
     def test_getitem_with_repeated_indices(self):
         # an embedding lookup: repeated rows add their gradients
         idx = np.array([[0, 2, 2], [1, 0, 2]])
-        self.check(lambda t: square(t[idx]).sum(), [(3, 5)])
+        self.check(lambda t: total(square(t[idx])), [(3, 5)])
 
     def test_nonlinearities(self):
         # both signs of the slope: |a + 10| |a - 10| = 100 - a^2 near zero
-        self.check(lambda a: ((a + 10.0).abs() * (a - 10.0).abs()).sum(),
+        self.check(lambda a: total(mul(absolute(add(a, 10.0)), absolute(sub(a, 10.0)))),
                    [(4, 3)])
 
     def test_softmax_layer_norm_composed(self):
         self.check(
-            lambda a, f, g, b: square(softmax(layer_norm(a, f, g, b))).sum(),
+            lambda a, f, g, b: total(square(softmax(layer_norm(a, f, g, b)))),
             [(3, 6), (3, 6), (6,), (6,)], tol=1e-5)
 
 
