@@ -16,6 +16,8 @@ import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, kv
 from .attention import spd_bias
 from .data import (FlowDataset, SyntheticSpec, load_flows, load_timestamps,
@@ -144,23 +146,18 @@ def _now() -> str:
 
 def write_manifest(path, resolved: dict[str, str], extra: dict[str, str]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"artifact_version={__version__}\n")
-        fh.write(f"started={_now()}\n")
-        for k, v in extra.items():
-            fh.write(f"{k}={v}\n")
-        for k in sorted(resolved):
-            fh.write(f"{k}={resolved[k]}\n")
+        fh.write(kv.dump({"artifact_version": __version__, "started": _now(), **extra,
+                          **dict(sorted(resolved.items()))}))
 
 
 def finish_manifest(path) -> None:
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(f"finished={_now()}\n")
+        fh.write(kv.dump({"finished": _now()}))
 
 
 def write_report(path, report: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        for key in ("mae", "rmse", "mape", "threshold", "count"):
-            fh.write(f"{key}={kv.encode(report[key])}\n")
+        fh.write(kv.dump({k: report[k] for k in ("mae", "rmse", "mape", "threshold", "count")}))
 
 
 def write_csv(path, header, rows) -> None:
@@ -182,8 +179,7 @@ def cmd_synth(args) -> int:
     save_flows(out / "flows.txt", ds)
     save_timestamps(out / "timestamps.txt", ds.timestamps)
     with open(out / "synth-spec.txt", "w", encoding="utf-8") as fh:
-        for k, v in sorted(dataclasses.asdict(spec).items()):
-            fh.write(f"{k}={kv.encode(v)}\n")
+        fh.write(kv.dump(dict(sorted(dataclasses.asdict(spec).items()))))
     print(f"synthesized {ds.num_steps} steps x {ds.num_nodes} nodes "
           f"x {ds.num_channels} channels into {out}")
     return 0
@@ -243,7 +239,9 @@ def cmd_eval(args) -> int:
         raise ValueError(f"graph mismatch: {mismatch}")
     check_model_inputs(data / "flows.txt", data / "timestamps.txt", ds, model.config)
     piece = _split_by_name(ds, args.split)
-    report = evaluate(model, piece, args.threshold)
+    # an overflow is reported once, as the non-finite metrics it yields
+    with np.errstate(all="ignore"):
+        report = evaluate(model, piece, args.threshold)
     bad = [f"{k}={report[k]!r}" for k in ("mae", "rmse", "mape") if not math.isfinite(report[k])]
     if bad:
         raise NonFiniteOutput(f"non-finite metrics {', '.join(bad)}; no report written")
@@ -264,7 +262,9 @@ def cmd_predict(args) -> int:
             f"window carries {window.num_steps} steps but the model expects "
             f"input_len={model.config.input_len}")
     check_model_inputs(args.window, args.timestamps, window, model.config)
-    forecast = model.predict(window.flows, window.timestamps)
+    # an overflow is reported once, as the non-finite values it yields
+    with np.errstate(all="ignore"):
+        forecast = model.predict(window.flows, window.timestamps)
     bad = sum(not math.isfinite(v) for v in forecast.flat)
     if bad:
         raise NonFiniteOutput(f"{bad} of {forecast.size} forecast values are not finite; "

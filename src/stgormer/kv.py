@@ -1,4 +1,4 @@
-"""The one key=value codec: config files, overrides, specs and checkpoint sections.
+"""The one key=value codec: configs, overrides, specs, manifests, reports, checkpoints.
 
 A value is always read into the type of its field's default: ``true``/``false``
 for booleans, decimal integers, finite floats in full-precision ``repr``,
@@ -17,16 +17,6 @@ def read_lines(path, error: type[ValueError] = ValueError) -> list[str]:
             return fh.readlines()
     except UnicodeDecodeError:
         raise error(f"{path}: not UTF-8 text") from None
-
-
-def read_line(fh, section: str, number: int) -> str:
-    """The line at a binary file's position, which is line ``number`` of the
-    file and part of ``[section]``, without its newline; a line that is not
-    UTF-8 is named by both."""
-    try:
-        return fh.readline().decode("utf-8").rstrip("\n")
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"[{section}] line {number} is not UTF-8: {exc}") from None
 
 
 def read_file(path) -> dict[str, str]:
@@ -54,6 +44,11 @@ def encode(value) -> str:
     if isinstance(value, tuple):
         return ",".join(repr(float(x)) for x in value)
     return str(value)
+
+
+def dump(items: dict) -> str:
+    """``key=value`` lines in ``items``' order, each value through :func:`encode`."""
+    return "".join(f"{key}={encode(value)}\n" for key, value in items.items())
 
 
 def _finite(raw: str) -> float:

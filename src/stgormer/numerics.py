@@ -4,19 +4,17 @@ Everything runs at double precision on numpy storage.  A ``Tensor`` records the
 operation that produced it; calling :meth:`Tensor.backward` on a scalar walks
 the recorded graph in reverse topological order and accumulates gradients into
 every reachable leaf.  Parameters live in a :class:`ParameterStore` keyed by
-dotted path; :func:`write_param_block` and :func:`read_param_block` carry a
-store's values in and out of a model checkpoint.
+dotted path.
 """
 from __future__ import annotations
 
+import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-
-from . import kv
 
 __all__ = [
     "Tensor",
@@ -28,8 +26,6 @@ __all__ = [
     "finite_difference_check",
     "linear",
     "layer_norm",
-    "write_param_block",
-    "read_param_block",
 ]
 
 
@@ -217,7 +213,8 @@ def _in_blocks(rows: int, block: int, run, sums=(), scratch=lambda rows: ()) -> 
         for span in blocks:
             run(span, *buffers, *totals)
 
-    futures = [_POOL.submit(lane, *args) for args in work[1:]]
+    # a lane runs in a copy of this thread's context, so the caller's np.errstate holds there
+    futures = [_POOL.submit(contextvars.copy_context().run, lane, *args) for args in work[1:]]
     try:
         lane(*work[0])
     finally:
@@ -513,56 +510,3 @@ def finite_difference_check(
         rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
         worst = max(worst, rel)
     return worst
-
-
-# -- checkpoint parameter block ----------------------------------------------------------
-
-
-def write_param_block(fh, store: ParameterStore) -> None:
-    """Manifest lines (path + shape) then raw little-endian float64 payload."""
-    items = store.items()
-    fh.write(b"[params]\n")
-    for path, t in items:
-        dims = " ".join(str(d) for d in t.data.shape)
-        fh.write(f"{path} {dims}".rstrip().encode("utf-8") + b"\n")
-    fh.write(b"[data]\n")
-    for _, t in items:
-        fh.write(np.ascontiguousarray(t.data, dtype="<f8").data)
-
-
-def read_param_block(fh, number: int = 1) -> dict[str, np.ndarray]:
-    """A parameter block whose ``[params]`` line is line ``number`` of the file."""
-    manifest: list[tuple[str, tuple[int, ...]]] = []
-    line = kv.read_line(fh, "params", number)
-    if line != "[params]":
-        raise ValueError(f"expected [params] section, got {line!r}")
-    while True:
-        line = kv.read_line(fh, "params", number + 1 + len(manifest))
-        if line == "[data]":
-            break
-        if not line:
-            raise ValueError("unterminated manifest: missing [data] section")
-        if line.startswith("["):
-            raise ValueError(f"expected [data] after the manifest, got {line!r}")
-        path, *extents = line.split(" ")
-        bad = [e for e in extents if not (e.isascii() and e.isdigit())]
-        if bad:
-            raise ValueError(f"parameter {path!r} has extent {bad[0]!r}, "
-                             "not a non-negative integer")
-        manifest.append((path, tuple(int(e) for e in extents)))
-    values: dict[str, np.ndarray] = {}
-    non_finite = []
-    for path, dims in manifest:
-        count = int(np.prod(dims)) if dims else 1
-        raw = fh.read(count * 8)
-        if len(raw) != count * 8:
-            raise ValueError(f"truncated checkpoint payload at parameter {path!r}")
-        # a read-only view of the bytes just read; ParameterStore.add copies it once
-        values[path] = np.frombuffer(raw, dtype="<f8").reshape(dims)
-        # checked while those bytes are still in cache: on a 10 MiB checkpoint
-        # this costs about 0.7 ms, a separate pass over all values 1.8 ms
-        if not np.isfinite(values[path]).all():
-            non_finite.append(path)
-    if non_finite:
-        raise ValueError(f"non-finite values in parameter {min(non_finite)!r}")
-    return values

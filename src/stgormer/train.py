@@ -19,7 +19,7 @@ from .numerics import AdamState, adam_step, backward, scheduled_lr
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or validation MAE."""
 
 
 @dataclass
@@ -175,6 +175,9 @@ def train_loop(model: StgormerModel, splits: tuple[FlowDataset, FlowDataset],
             val_mae = float(val_metric_fn(model, epoch))
         else:
             val_mae = _validation_mae(model, val_windows, tcfg.batch_size)
+        if not np.isfinite(val_mae):
+            raise DivergenceError(f"non-finite validation MAE {val_mae} at epoch {epoch}; "
+                                  "lower the learning rate")
         record = EpochRecord(
             epoch=epoch,
             train_mae=abs_sum / abs_count,
@@ -196,8 +199,6 @@ def train_loop(model: StgormerModel, splits: tuple[FlowDataset, FlowDataset],
                 break
 
     model.store.restore(best_values)
-    if history.best_epoch == 0 and history.epochs:
-        history.best_epoch = 1
     if tcfg.checkpoint_dir:
         path = Path(tcfg.checkpoint_dir)
         path.mkdir(parents=True, exist_ok=True)

@@ -363,6 +363,7 @@ class TestEval:
         assert f"corrupt checkpoint: non-finite values in {named}" in capsys.readouterr().err
         assert not (workspace / "report.txt").exists()
 
+    @pytest.mark.filterwarnings("error")  # the overflow is the error line, not a warning
     def test_non_finite_metric_exit_code(self, workspace, capsys):
         # finite parameters whose forecasts are finite but large: err ** 2 overflows
         ckpt = train_run(workspace) / "model.ckpt"
@@ -372,7 +373,7 @@ class TestEval:
         code = main(["eval", "--checkpoint", str(ckpt), "--data", str(workspace / "data"),
                      "--out", str(workspace / "report.txt")])
         assert code == 3
-        assert capsys.readouterr().err.startswith("error: non-finite metrics rmse=inf")
+        assert re.fullmatch("error: non-finite metrics rmse=inf.*\n", capsys.readouterr().err)
         assert not (workspace / "report.txt").exists()
 
     def test_node_count_mismatch(self, workspace, tmp_path, capsys):
@@ -492,6 +493,7 @@ class TestPredict:
                 in capsys.readouterr().err)
         assert not forecast.exists()
 
+    @pytest.mark.filterwarnings("error")  # the overflow is the error line, not a warning
     def test_non_finite_forecast_exit_code(self, workspace, capsys):
         # a finite checkpoint whose forecast, about 1e10 before the normalizer
         # scales it by 1e300, overflows

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import re
 import zlib
 
@@ -14,9 +15,9 @@ import stgormer.model
 from stgormer.cli import main
 from stgormer.data import Normalizer, save_timestamps, write_flow_tensor
 from stgormer.graph import SpatioTemporalGraph, save_graph
-from stgormer.model import (StgormerConfig, build, load_model, loss,
-                            save_model)
-from stgormer.numerics import Tensor, backward, finite_difference_check
+from stgormer.model import (StgormerConfig, build, load_model, loss, read_param_block,
+                            save_model, write_param_block)
+from stgormer.numerics import ParameterStore, Tensor, backward, finite_difference_check
 
 
 def small_graph(n=6, seed=2, prob=0.35):
@@ -471,6 +472,38 @@ class TestFullGradient:
         assert len(interior) == 21
         assert all(n.grad is None and n._backward_fn is None for n in interior.values())
         assert all(t.grad is not None for _, t in model.store.items())
+
+
+def param_block_bytes(store: ParameterStore) -> bytes:
+    manifest, payload = write_param_block(store)
+    return manifest + b"".join(payload)
+
+
+class TestParamBlock:
+    def test_round_trip_bitwise(self):
+        rng = np.random.default_rng(12)
+        store = ParameterStore()
+        store.add("deep.nested.w", rng.normal(size=(3, 4)))
+        store.add("bias", rng.normal(size=7))
+        store.add("table", rng.normal(size=(2, 2, 2)))
+        buf = io.BytesIO(param_block_bytes(store))
+        values = read_param_block(buf)
+        assert buf.read() == b""
+        assert set(values) == {"deep.nested.w", "bias", "table"}
+        for p, t in store.items():
+            assert np.array_equal(values[p], t.data)
+            assert values[p].dtype == np.float64
+
+    def test_save_is_deterministic(self):
+        store = ParameterStore()
+        store.add("b", np.array([1.0]))
+        store.add("a", np.array([2.0, 3.0]))
+        assert param_block_bytes(store) == param_block_bytes(store)
+
+    def test_bad_magic_rejected(self):
+        # the block's "[params]" tag is its magic
+        with pytest.raises(ValueError, match=r"expected \[params\]"):
+            read_param_block(io.BytesIO(b"something else\n"))
 
 
 class TestCheckpoint:

@@ -1,5 +1,4 @@
 import ast
-import io
 import pathlib
 import sys
 import threading
@@ -17,8 +16,7 @@ from stgormer import numerics
 from stgormer.moe import RouterParams, gate
 from stgormer.numerics import (AdamState, ParameterStore, Tensor, _lanes, adam_step,
                                backward, finite_difference_check,
-                               layer_norm, linear, read_param_block,
-                               scheduled_lr, write_param_block)
+                               layer_norm, linear, scheduled_lr)
 
 
 def square(t: Tensor) -> Tensor:
@@ -264,6 +262,12 @@ class TestBlockRunner:
         numerics._in_blocks(8, 2, run, scratch=scratch)
         assert made == [(threading.get_ident(), 2)] * 2
         assert len(ran) == 4 and len(set(ran)) == 2  # one lane ran on the pool
+
+    def test_every_lane_keeps_the_callers_errstate(self):
+        seen = []
+        with np.errstate(over="ignore"):
+            numerics._in_blocks(8, 2, lambda rows: seen.append(np.geterr()["over"]))
+        assert seen == ["ignore"] * 4
 
     @pytest.mark.parametrize("pool", [None, InlinePool, DeferredPool])
     def test_totals_are_lane_0_plus_lane_1(self, monkeypatch, pool):
@@ -631,38 +635,7 @@ class TestPrimitiveGradients:
             [(3, 6), (3, 6), (6,), (6,)], tol=1e-5)
 
 
-def param_block_bytes(store: ParameterStore) -> bytes:
-    buf = io.BytesIO()
-    write_param_block(buf, store)
-    return buf.getvalue()
-
-
 class TestCheckpoint:
-    def test_round_trip_bitwise(self):
-        rng = np.random.default_rng(12)
-        store = ParameterStore()
-        store.add("deep.nested.w", rng.normal(size=(3, 4)))
-        store.add("bias", rng.normal(size=7))
-        store.add("table", rng.normal(size=(2, 2, 2)))
-        buf = io.BytesIO(param_block_bytes(store))
-        values = read_param_block(buf)
-        assert buf.read() == b""
-        assert set(values) == {"deep.nested.w", "bias", "table"}
-        for p, t in store.items():
-            assert np.array_equal(values[p], t.data)
-            assert values[p].dtype == np.float64
-
-    def test_save_is_deterministic(self):
-        store = ParameterStore()
-        store.add("b", np.array([1.0]))
-        store.add("a", np.array([2.0, 3.0]))
-        assert param_block_bytes(store) == param_block_bytes(store)
-
-    def test_bad_magic_rejected(self):
-        # the block's "[params]" tag is its magic
-        with pytest.raises(ValueError, match=r"expected \[params\]"):
-            read_param_block(io.BytesIO(b"something else\n"))
-
     def test_duplicate_path_rejected(self):
         store = ParameterStore()
         store.add("p", np.zeros(1))

@@ -1,5 +1,5 @@
-"""Package-wide checks: every definition in ``src/stgormer`` has a caller in
-the package, and importing the package pins BLAS or says why it cannot."""
+"""Package-wide checks: every definition in ``src/stgormer`` has a caller, the
+engine imports no other package module, and importing it pins BLAS or says why not."""
 import ast
 import os
 import pathlib
@@ -80,6 +80,15 @@ def test_the_finder_reports_what_only_its_own_body_uses():
               "print(area(Shape()))\n"),
     }
     assert unreferenced(sources) == ["a.recursive", "a.unused", "b.Box.stale", "c.Shape.dim"]
+
+
+def test_the_engine_imports_no_package_module():
+    # numerics is the engine alone: file formats and the model live elsewhere
+    tree = ast.parse((pathlib.Path(stgormer.__file__).parent / "numerics.py").read_text())
+    names = [(node.level, node.module or "") if isinstance(node, ast.ImportFrom) else (0, a.name)
+             for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for a in node.names]
+    assert [n for n in names if n[0] or n[1].split(".")[0] == "stgormer"] == []
 
 
 def import_in_subprocess(statement: str, **env) -> subprocess.CompletedProcess:

@@ -130,6 +130,15 @@ class TestTrainLoop:
             train_loop(model, (train_ds, val_ds),
                        tiny_train_config(max_epochs=10, lr=1e150))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_validation_mae_raises_and_saves_nothing(self, bad, tmp_path):
+        ds = tiny_dataset()
+        model = build(tiny_model_config(), ds.graph)
+        with pytest.raises(DivergenceError, match="non-finite validation MAE .* at epoch 1;"):
+            train_loop(model, split(ds)[:2], tiny_train_config(checkpoint_dir=str(tmp_path)),
+                       val_metric_fn=lambda model_, epoch: bad)
+        assert not (tmp_path / "model.ckpt").exists()
+
     def test_descent_smoke(self):
         spec = SyntheticSpec(num_nodes=12, edge_prob=0.3, seed=6,
                              daily_period=12, weekly_period=84,
