@@ -122,7 +122,7 @@ def scaled_dot_attention(x: Tensor, params: AttentionParams, axis: int,
 
     _in_blocks(count, block, forward_block)
 
-    def back(g: np.ndarray) -> None:
+    def back(g: np.ndarray) -> tuple:
         g4 = g.reshape(x4.shape)
         dx = np.empty(x4.shape) if x.requires_grad else None
 
@@ -153,15 +153,10 @@ def scaled_dot_attention(x: Tensor, params: AttentionParams, axis: int,
         dw_qkv, db_qkv, dw_o, db_o, d_bias = _in_blocks(
             count, block, backward_block,
             sums=(w_qkv.shape, b_qkv.shape, w_o.shape, width, (length, length)))
-        if dx is not None:
-            x._accumulate(dx.reshape(x.shape))
         dw_q, dw_k, dw_v = np.split(dw_qkv, 3, axis=1)
         db_q, _, db_v = np.split(db_qkv, 3)
-        for param, part in ((params.w_q, dw_q), (params.b_q, db_q), (params.w_k, dw_k),
-                            (params.w_v, dw_v), (params.b_v, db_v), (params.w_o, dw_o),
-                            (params.b_o, db_o), (bias, d_bias)):
-            if param is not None and param.requires_grad:
-                param._accumulate(part)
+        return (None if dx is None else dx.reshape(x.shape), dw_q, db_q, dw_k, dw_v, db_v,
+                dw_o, db_o) + (() if bias is None else (d_bias,))
 
     parents = (x, params.w_q, params.b_q, params.w_k, params.w_v, params.b_v,
                params.w_o, params.b_o) + (() if bias is None else (bias,))

@@ -197,7 +197,9 @@ def cmd_train(args) -> int:
     train_ds, val_ds, _ = split(ds)
     model = build(mcfg, ds.graph)
     tcfg = dataclasses.replace(tcfg, checkpoint_dir=str(out))
-    history = train_loop(model, (train_ds, val_ds), tcfg)
+    # a divergence is reported once, as the DivergenceError it raises
+    with np.errstate(all="ignore"):
+        history = train_loop(model, (train_ds, val_ds), tcfg)
     with open(out / "history.jsonl", "w", encoding="utf-8") as fh:
         fh.write(json.dumps({"manifest": str(manifest_path)}) + "\n")
         for rec in history.epochs:
@@ -299,7 +301,8 @@ def cmd_study(args) -> int:
     data = Path(args.data)
     ds = load_data_dir(data)
     check_model_inputs(data / "flows.txt", data / "timestamps.txt", ds, mcfg)
-    rows = study(mcfg, tcfg, ds, args.axis)
+    with np.errstate(all="ignore"):
+        rows = study(mcfg, tcfg, ds, args.axis)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_csv(out, STUDY_COLUMNS,

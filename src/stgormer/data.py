@@ -238,8 +238,9 @@ def synthesize(spec: SyntheticSpec) -> FlowDataset:
 def metrics(y: np.ndarray, y_hat: np.ndarray, threshold: float = 0.0) -> dict:
     """Masked MAE / RMSE / MAPE over positions where the target exceeds ``threshold``.
 
-    MAPE is returned as a fraction.  ``count`` reports how many positions
-    qualified; a zero target among them (negative threshold) raises ``ValueError``.
+    MAPE is returned as a fraction of each target's magnitude.  ``count``
+    reports how many positions qualified; a zero target among them (negative
+    threshold) raises ``ValueError``.
     """
     y = np.asarray(y, dtype=np.float64)
     y_hat = np.asarray(y_hat, dtype=np.float64)
@@ -258,7 +259,7 @@ def metrics(y: np.ndarray, y_hat: np.ndarray, threshold: float = 0.0) -> dict:
     return {
         "mae": float(np.abs(err).mean()),
         "rmse": float(np.sqrt((err ** 2).mean())),
-        "mape": float((np.abs(err) / y[mask]).mean()),
+        "mape": float((np.abs(err) / np.abs(y[mask])).mean()),
         "threshold": float(threshold),
         "count": count,
     }

@@ -54,14 +54,12 @@ def temporal_input_encoding(timestamps, feature_params: list[Time2VecParams]) ->
     z = ts[..., None] * w + b
     np.sin(z[..., 1:], out=z[..., 1:])
 
-    def back(g: np.ndarray) -> None:
+    def back(g: np.ndarray) -> list:
         gz = g.reshape(z.shape).copy()
         gz[..., 1:] *= np.cos(ts[..., None] * w[:, 1:] + b[:, 1:])
-        for j, p in enumerate(feature_params):
-            if p.b.requires_grad:
-                p.b._accumulate(_unbroadcast(gz[..., j, :], p.b.shape))
-            if p.w.requires_grad:
-                p.w._accumulate(_unbroadcast(gz[..., j, :] * ts[..., j, None], p.w.shape))
+        return [d for j, p in enumerate(feature_params)
+                for d in (_unbroadcast(gz[..., j, :] * ts[..., j, None], p.w.shape),
+                          _unbroadcast(gz[..., j, :], p.b.shape))]
 
     params = [t for p in feature_params for t in (p.w, p.b)]
     return Tensor._result(z.reshape(ts.shape[:-1] + (-1,)), params, back)
@@ -75,12 +73,11 @@ def spatial_input_encoding(g: SpatioTemporalGraph,
     lookups = [(table, np.minimum(deg, cap))
                for table, deg in zip((tables.z_minus, tables.z_plus), degrees(g))]
 
-    def back(grad: np.ndarray) -> None:
-        for table, idx in lookups:
-            if table.requires_grad:
-                buf = np.zeros(table.shape)
-                np.add.at(buf, idx, grad)
-                table._accumulate(buf)
+    def back(grad: np.ndarray) -> list:
+        bufs = [np.zeros(table.shape) for table, _ in lookups]
+        for buf, (_, idx) in zip(bufs, lookups):
+            np.add.at(buf, idx, grad)
+        return bufs
 
     (z_minus, in_idx), (z_plus, out_idx) = lookups
     return Tensor._result(z_minus.data[in_idx] + z_plus.data[out_idx],
@@ -116,9 +113,8 @@ def fuse_inputs(
     fused = np.concatenate([np.broadcast_to(t.data.reshape(shape), lead + shape[-1:])
                             for t, shape in parts], axis=-1)
 
-    def back(g: np.ndarray) -> None:
-        for (t, shape), lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                t._accumulate(_unbroadcast(g[..., lo:hi], shape).reshape(t.shape))
+    def back(g: np.ndarray) -> list:
+        return [_unbroadcast(g[..., lo:hi], shape).reshape(t.shape)
+                for (t, shape), lo, hi in zip(parts, offsets[:-1], offsets[1:])]
 
     return linear(Tensor._result(fused, [t for t, _ in parts], back), weight, bias)

@@ -345,14 +345,11 @@ def loss(pred: Tensor, target: np.ndarray, weights: list[Tensor],
     lb = sum(load_balance_loss(u) for u in usage) * (1.0 / len(usage)) if usage else 0.0
     total = mae + lb * alpha
 
-    def back(g: np.ndarray) -> None:
-        if pred.requires_grad:
-            pred._accumulate(np.sign(diff) * (g * (1 / diff.size)))
+    def back(g: np.ndarray) -> list:
         g_lb = g * alpha * (1.0 / len(usage)) if usage else None
-        for w, t, u in zip(weights, tokens, usage):
-            if w.requires_grad:
-                g_u = 2.0 * (u * (g_lb * (1.0 / len(u))))
-                w._accumulate(np.broadcast_to(g_u * (1 / len(t)), t.shape).reshape(w.shape))
+        return [np.sign(diff) * (g * (1 / diff.size))] + [
+            np.broadcast_to(2.0 * (u * (g_lb * (1.0 / len(u)))) * (1 / len(t)), t.shape)
+            .reshape(w.shape) for w, t, u in zip(weights, tokens, usage)]
 
     parts = {"mae": float(mae), "lb": float(lb), "usage": usage}
     return Tensor._result(total, (pred, *weights), back), parts

@@ -51,16 +51,12 @@ def gate(x: Tensor, router: RouterParams) -> Tensor:
     probs /= probs.sum(axis=-1, keepdims=True)
     probs = probs.reshape(x.shape[:-1] + w.shape[1:])
 
-    def back(g: np.ndarray) -> None:
+    def back(g: np.ndarray) -> tuple:
         d = g - (g * probs).sum(axis=-1, keepdims=True)
         d *= probs
         d2 = d.reshape(-1, w.shape[1])
-        if x.requires_grad:
-            x._accumulate((d2 @ w.T).reshape(x.shape))
-        if router.w.requires_grad:
-            router.w._accumulate(x2.T @ d2)
-        if router.b.requires_grad:
-            router.b._accumulate(d2.sum(axis=0))
+        dx = (d2 @ w.T).reshape(x.shape) if x.requires_grad else None
+        return dx, x2.T @ d2, d2.sum(axis=0)
 
     return Tensor._result(probs, (x, router.w, router.b), back)
 
@@ -122,7 +118,7 @@ def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Te
     _in_blocks(len(x2), block, forward_block, scratch=scratch)
     out += gw @ b2
 
-    def back(g: np.ndarray) -> None:
+    def back(g: np.ndarray) -> list:
         g2 = g.reshape(-1, width)
         d_gw = np.empty_like(gw) if weights.requires_grad else None
         dx = np.empty_like(x2) if x.requires_grad else None
@@ -149,17 +145,11 @@ def dense_mixture(x: Tensor, weights: Tensor, experts: list[ExpertParams]) -> Te
             scratch=lambda rows: scratch(rows, 2) + [np.empty_like(w1), np.empty_like(w2)])
         if d_gw is not None:
             d_gw += g2 @ b2.T
-            weights._accumulate(d_gw.reshape(weights.shape))
-        if dx is not None:
-            x._accumulate(dx.reshape(x.shape))
-        dw1, db1 = dw1[:width], dw1[width]
-        db2 = gw.T @ g2
-        for e, expert in enumerate(experts):
-            cols = slice(e * hid, (e + 1) * hid)
-            for param, part in ((expert.w1, dw1[:, cols]), (expert.b1, db1[cols]),
-                                (expert.w2, dw2[cols]), (expert.b2, db2[e])):
-                if param.requires_grad:
-                    param._accumulate(part)
+            d_gw = d_gw.reshape(weights.shape)
+        per_expert = zip(np.split(dw1[:width], n_exp, axis=1), np.split(dw1[width], n_exp),
+                         np.split(dw2, n_exp), gw.T @ g2)
+        return [None if dx is None else dx.reshape(x.shape), d_gw,
+                *(d for grads in per_expert for d in grads)]
 
     params = [p for e in experts for p in (e.w1, e.b1, e.w2, e.b2)]
     return Tensor._result(out.reshape(x.shape), (x, weights, *params), back)

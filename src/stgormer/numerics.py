@@ -12,7 +12,7 @@ import contextvars
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -60,19 +60,21 @@ class Tensor:
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
         self._prev: tuple[Tensor, ...] | None = ()
-        self._backward_fn: Callable[[np.ndarray], None] | None = None
+        self._backward_fn: Callable[[np.ndarray], Iterator] | None = None
 
     # -- graph plumbing -----------------------------------------------------
 
     @staticmethod
     def _result(data: np.ndarray, parents: Sequence["Tensor"],
-                backward_fn: Callable[[np.ndarray], None]) -> "Tensor":
+                backward_fn: Callable[[np.ndarray], Sequence]) -> "Tensor":
+        """A node whose ``backward_fn(g)`` returns one gradient per parent, in
+        parent order, None for none; only :meth:`backward` adds them up."""
         out = Tensor(data)
         live = tuple(p for p in parents if p.requires_grad)
         if live:
             out.requires_grad = True
             out._prev = live
-            out._backward_fn = backward_fn
+            out._backward_fn = lambda g: zip(parents, backward_fn(g), strict=True)
         return out
 
     def _accumulate(self, g: np.ndarray) -> None:
@@ -115,7 +117,12 @@ class Tensor:
             node = order.pop()
             if node._backward_fn is not None:
                 if node.grad is not None:
-                    node._backward_fn(node.grad)
+                    for parent, g in node._backward_fn(node.grad):
+                        if g is not None and parent.requires_grad:
+                            if g.shape != parent.shape:
+                                raise ValueError(f"gradient of shape {g.shape} for a "
+                                                 f"parent of shape {parent.shape}")
+                            parent._accumulate(g)
                 node.grad, node._backward_fn, node._prev = None, None, None
 
     # -- basic accessors ----------------------------------------------------
@@ -138,8 +145,8 @@ class Tensor:
         data = self.data.reshape(shape)
         in_shape = self.data.shape
 
-        def back(g: np.ndarray) -> None:
-            self._accumulate(g.reshape(in_shape))
+        def back(g: np.ndarray) -> tuple:
+            return g.reshape(in_shape),
 
         return Tensor._result(data, (self,), back)
 
@@ -147,8 +154,8 @@ class Tensor:
         data = self.data.transpose(axes)
         inverse = tuple(np.argsort(axes))
 
-        def back(g: np.ndarray) -> None:
-            self._accumulate(g.transpose(inverse))
+        def back(g: np.ndarray) -> tuple:
+            return g.transpose(inverse),
 
         return Tensor._result(data, (self,), back)
 
@@ -156,10 +163,10 @@ class Tensor:
         data = self.data[key]
         in_shape = self.data.shape
 
-        def back(g: np.ndarray) -> None:
+        def back(g: np.ndarray) -> tuple:
             buf = np.zeros(in_shape, dtype=np.float64)
             np.add.at(buf, key, g)
-            self._accumulate(buf)
+            return buf,
 
         return Tensor._result(np.array(data), (self,), back)
 
@@ -247,14 +254,10 @@ def linear(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
     out = x2 @ w
     out += bias.data
 
-    def back(g: np.ndarray) -> None:
+    def back(g: np.ndarray) -> tuple:
         g2 = g.reshape(-1, w.shape[1])
-        if x.requires_grad:
-            x._accumulate((g2 @ w.T).reshape(x.data.shape))
-        if weight.requires_grad:
-            weight._accumulate(x2.T @ g2)
-        if bias.requires_grad:
-            bias._accumulate(g2.sum(axis=0))
+        dx = (g2 @ w.T).reshape(x.shape) if x.requires_grad else None
+        return dx, x2.T @ g2, g2.sum(axis=0)
 
     return Tensor._result(out.reshape(lead + (w.shape[1],)), (x, weight, bias), back)
 
@@ -290,7 +293,7 @@ def layer_norm(x: Tensor, residual: Tensor, gamma: Tensor, beta: Tensor,
 
     _in_blocks(len(x2), _BLOCK_ROWS, forward_block)
 
-    def back(g: np.ndarray) -> None:
+    def back(g: np.ndarray) -> tuple:
         g2 = g.reshape(-1, width)
         dx = np.empty_like(g2) if x.requires_grad or residual.requires_grad else None
 
@@ -311,15 +314,8 @@ def layer_norm(x: Tensor, residual: Tensor, gamma: Tensor, beta: Tensor,
         d_gamma, d_beta = _in_blocks(len(x2), _BLOCK_ROWS, backward_block,
                                      sums=(width, width),
                                      scratch=lambda rows: (np.empty((rows, width)),))
-        if beta.requires_grad:
-            beta._accumulate(d_beta)
-        if gamma.requires_grad:
-            gamma._accumulate(d_gamma)
-        if dx is not None:
-            dx = dx.reshape(x.shape)
-            for t in (x, residual):
-                if t.requires_grad:
-                    t._accumulate(dx)
+        dx = None if dx is None else dx.reshape(x.shape)
+        return dx, dx, d_gamma, d_beta
 
     return Tensor._result(out.reshape(x.shape), (x, residual, gamma, beta), back)
 

@@ -264,6 +264,8 @@ def study(model_cfg: StgormerConfig, tcfg: TrainConfig, ds: FlowDataset,
             history = train_loop(model, (train_ds, val_ds),
                                  dataclasses.replace(tcfg, checkpoint_dir=""))
             report = evaluate(model, test_ds, tcfg.threshold)
+        except DivergenceError as exc:
+            raise DivergenceError(f"study variant {name!r} failed: {exc}") from exc
         except Exception as exc:
             raise RuntimeError(f"study variant {name!r} failed: {exc}") from exc
         rows.append({

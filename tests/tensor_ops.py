@@ -10,56 +10,37 @@ import numpy as np
 from stgormer.numerics import Tensor, _unbroadcast
 
 
+def _constant(b) -> Tensor:
+    return b if isinstance(b, Tensor) else Tensor(b)
+
+
 def add(a: Tensor, b) -> Tensor:
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    data = a.data + b.data
-
-    def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g, b.data.shape))
-
-    return Tensor._result(data, (a, b), back)
+    b = _constant(b)
+    return Tensor._result(a.data + b.data, (a, b), lambda g: (
+        _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)))
 
 
 def mul(a: Tensor, b) -> Tensor:
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    data = a.data * b.data
-
-    def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    return Tensor._result(data, (a, b), back)
+    b = _constant(b)
+    return Tensor._result(a.data * b.data, (a, b), lambda g: (
+        _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)))
 
 
 def sub(a: Tensor, b) -> Tensor:
-    b = b if isinstance(b, Tensor) else Tensor(b)
-    data = a.data - b.data
-
-    def back(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(-g, b.data.shape))
-
-    return Tensor._result(data, (a, b), back)
+    b = _constant(b)
+    return Tensor._result(a.data - b.data, (a, b), lambda g: (
+        _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)))
 
 
 def total(a: Tensor, axis=None) -> Tensor:
     """The sum over ``axis``, or over every axis."""
-    data = a.data.sum(axis=axis)
-    in_shape = a.data.shape
 
-    def back(g: np.ndarray) -> None:
+    def back(g: np.ndarray) -> tuple:
         if axis is not None:
             g = np.expand_dims(g, axis)
-        a._accumulate(np.broadcast_to(g, in_shape).copy())
+        return np.broadcast_to(g, a.shape).copy(),
 
-    return Tensor._result(data, (a,), back)
+    return Tensor._result(a.data.sum(axis=axis), (a,), back)
 
 
 def mean(a: Tensor, axis=None) -> Tensor:
@@ -69,10 +50,5 @@ def mean(a: Tensor, axis=None) -> Tensor:
 
 
 def absolute(a: Tensor) -> Tensor:
-    data = np.abs(a.data)
     sign = np.sign(a.data)
-
-    def back(g: np.ndarray) -> None:
-        a._accumulate(g * sign)
-
-    return Tensor._result(data, (a,), back)
+    return Tensor._result(np.abs(a.data), (a,), lambda g: (g * sign,))

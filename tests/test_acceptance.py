@@ -276,7 +276,7 @@ def test_criterion_08_masked_metrics():
             err = y[mask] - y_hat[mask]
             assert abs(got["mae"] - np.abs(err).mean()) < 1e-12
             assert abs(got["rmse"] - np.sqrt((err ** 2).mean())) < 1e-12
-            assert abs(got["mape"] - (np.abs(err) / y[mask]).mean()) < 1e-12
+            assert abs(got["mape"] - (np.abs(err) / np.abs(y[mask])).mean()) < 1e-12
 
 
 def test_criterion_09_early_stopping():

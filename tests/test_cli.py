@@ -216,7 +216,7 @@ class TestTrain:
                          "unknown_knob"):
             assert fragment in err
 
-    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.filterwarnings("error")
     def test_divergence_exit_code(self, workspace, capsys):
         code = main(["train", "--config", str(workspace / "run.txt"),
                      "--data", str(workspace / "data"),
@@ -224,8 +224,8 @@ class TestTrain:
                      "--override", "train.lr=1e150"])
         assert code == 3
         err = capsys.readouterr().err
-        assert err.startswith("error:")
-        assert "non-finite" in err
+        assert err.startswith("error: non-finite")
+        assert err.count("\n") == 1
 
     def test_zero_epochs_is_config_error(self, workspace, capsys):
         code = main(["train", "--config", str(workspace / "run.txt"),
@@ -669,6 +669,18 @@ class TestStudy:
         lines = outs[0].decode().splitlines()
         assert [ln.split(",")[0] for ln in lines[1:]] == [
             "SSSTTT", "STSTST", "TTTSSS", "TSTSTS"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_divergence_exit_code_names_the_variant(self, workspace, capsys):
+        code = main(["study", "--config", str(workspace / "run.txt"),
+                     "--data", str(workspace / "data"),
+                     "--axis", "ablation", "--out", str(workspace / "x.csv"),
+                     "--override", "train.lr=1e150"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: study variant 'full' failed: non-finite")
+        assert err.count("\n") == 1
+        assert not (workspace / "x.csv").exists()
 
     def test_unknown_axis_is_usage_error(self, workspace, capsys):
         code = main(["study", "--config", str(workspace / "run.txt"),

@@ -202,7 +202,7 @@ def metrics_oracle(y, y_hat, threshold):
               if t > threshold]
     mae = sum(abs(t - p) for t, p in picked) / len(picked)
     rmse = math.sqrt(sum((t - p) ** 2 for t, p in picked) / len(picked))
-    mape = sum(abs(t - p) / t for t, p in picked) / len(picked)
+    mape = sum(abs(t - p) / abs(t) for t, p in picked) / len(picked)
     return mae, rmse, mape, len(picked)
 
 
@@ -213,6 +213,11 @@ class TestMetrics:
         assert out["rmse"] == 1.0
         assert out["mape"] == 0.375
         assert out["count"] == 2
+
+    def test_mape_divides_by_the_magnitude_of_a_negative_target(self):
+        out = metrics(np.array([-0.5, 2.0]), np.array([0.5, 2.0]), -1.0)
+        assert out["mape"] == 1.0
+        assert out["mae"] == 0.5
 
     def test_perfect_prediction(self):
         y = np.array([1.0, 2.0, 3.0])

@@ -24,8 +24,9 @@ def values_like(default):
         return FINITE
     if isinstance(default, tuple):
         return st.tuples(*[FINITE] * len(default))
-    # text that a key=value line holds: one line, no surrounding white space
-    return st.text(st.characters(exclude_characters="\r\n")).map(str.strip)
+    # text that a key=value line of a UTF-8 file holds: one line, no
+    # surrounding white space, no lone surrogate
+    return st.text(st.characters(codec="utf-8", exclude_characters="\r\n")).map(str.strip)
 
 
 @pytest.mark.parametrize("cls,name", FIELDS,

@@ -362,7 +362,7 @@ class TestBackward:
         s = add(a, b)
         received = []
         back = s._backward_fn
-        s._backward_fn = lambda g: (received.append(g), back(g))
+        s._backward_fn = lambda g: (received.append(g), back(g))[1]
         via_sum = total(mul(s, np.array([1.0, 10.0])))
         direct = add(total(mul(a, 100.0)), total(mul(b, 1000.0)))
         (add(via_sum, direct) if sum_first else add(direct, via_sum)).backward()
@@ -385,6 +385,35 @@ class TestBackward:
         total(h).backward()
         with pytest.raises(RuntimeError, match="earlier backward consumed"):
             total(mul(h, 3.0)).backward()
+
+
+class TestNodeContract:
+    """A node's backward returns one gradient per parent; the engine adds them up."""
+
+    def node(self, parents, grads) -> Tensor:
+        return Tensor._result(np.zeros(()), parents, lambda g: grads)
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_gradient_count_raises(self, count):
+        a = Tensor(np.ones(2), requires_grad=True)
+        b = Tensor(np.ones(2), requires_grad=True)
+        with pytest.raises(ValueError, match="zip"):
+            self.node((a, b), [np.ones(2)] * count).backward()
+
+    def test_wrong_gradient_shape_raises_naming_both_shapes(self):
+        a = Tensor(np.ones((2, 3)), requires_grad=True)
+        with pytest.raises(ValueError, match=r"shape \(3, 2\) .* shape \(2, 3\)"):
+            self.node((a,), [np.ones((3, 2))]).backward()
+        assert a.grad is None
+
+    def test_none_and_parents_without_gradient_are_skipped(self):
+        a = Tensor(np.ones(2), requires_grad=True)
+        c = Tensor(np.ones(2))
+        b = Tensor(np.ones(3), requires_grad=True)
+        # c's entry is never looked at, not even its shape
+        self.node((a, c, b), [None, np.ones(5), np.arange(3.0)]).backward()
+        assert a.grad is None and c.grad is None
+        assert b.grad.tolist() == [0.0, 1.0, 2.0]
 
 
 class TestFrozenStore:

@@ -91,6 +91,25 @@ def test_the_engine_imports_no_package_module():
     assert [n for n in names if n[0] or n[1].split(".")[0] == "stgormer"] == []
 
 
+def test_only_the_engine_loop_accumulates_gradients():
+    # every node returns its parents' gradients, and Tensor.backward alone adds
+    # them up: once for its seed and once in its loop over the graph
+    found = Counter()
+    package = pathlib.Path(stgormer.__file__).parent
+    for path in sorted(package.glob("*.py")):
+        stack = [(ast.parse(path.read_text()), path.stem)]
+        while stack:
+            node, scope = stack.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    stack.append((child, f"{scope}.{child.name}"))
+                    continue
+                if "_accumulate" in (getattr(child, "attr", None), getattr(child, "id", None)):
+                    found[scope] += 1
+                stack.append((child, scope))
+    assert found == {"numerics.Tensor.backward": 2}
+
+
 def import_in_subprocess(statement: str, **env) -> subprocess.CompletedProcess:
     """Run ``statement`` in a fresh interpreter that has no BLAS thread
     variable set, apart from those given in ``env``."""
