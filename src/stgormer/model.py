@@ -203,6 +203,8 @@ class StgormerModel:
         self.spd_table = init.table("spd_bias.table", config.max_spd + 3)
 
         self.blocks: list[Block] = []
+        # the leading run of spatial blocks, which belongs to the step-local half
+        self._lead = len(config.block_order) - len(config.block_order.lstrip("S"))
         for i, axis in enumerate(config.block_order):
             name = "spatial" if axis == "S" else "temporal"
             base = f"blocks.{i:02d}.{name}"
@@ -252,41 +254,106 @@ class StgormerModel:
 
     # -- forward -----------------------------------------------------------
 
-    def forward_batch(self, x: np.ndarray,
-                      timestamps: np.ndarray) -> tuple[Tensor, list[Tensor]]:
+    def forward_batch(self, x: np.ndarray, timestamps: np.ndarray,
+                      windows: np.ndarray | None = None) -> tuple[Tensor, list[Tensor]]:
         """Batched forward: (B, T, N, C) plus (B, T, k) -> (B, horizon, N, C).
+
+        With ``windows``, a (B, T) array of step indices, ``x`` and
+        ``timestamps`` are a step sequence instead, (S, N, C) and (S, k), and
+        the batch is its windows ``x[windows]``: the step-local half then runs
+        once per step, and its output is gathered into the windows. That
+        takes a frozen store.
 
         Also returns, in block order, the gate weights of each MoE block that
         records a graph, for the balance term of ``loss``: none when MoE is
         off, and none from a frozen store, whose forward keeps only its output.
         """
         cfg = self.config
-        x = np.asarray(x, dtype=np.float64)
-        timestamps = np.asarray(timestamps, dtype=np.float64)
-        b, t, n, c = x.shape
+        _, t, *_ = np.shape(x if windows is None else windows)
         if t != cfg.input_len:
             raise ValueError(f"window length {t} != configured input_len {cfg.input_len}")
+        bias = (spd_bias(self.spd, self.spd_table, cfg.max_spd)
+                if cfg.use_spd_bias else None)
+        weights: list[Tensor] = []
+        # The window half: the remaining blocks, then the head. Each half gets
+        # its input as a temporary, not kept in a name here, so that without a
+        # graph the input is freed once the first block has consumed it.
+        h = self._run_blocks(self._step_local(x, timestamps, windows, bias, weights),
+                             self.blocks[self._lead:], bias, weights)
+        b, t, n, d = h.shape
+        per_node = h.transpose(0, 2, 1, 3).reshape(b, n, t * d)
+        out = linear(per_node, self.head_w, self.head_b)
+        return out.reshape(b, n, cfg.horizon, cfg.channels).transpose(0, 2, 1, 3), weights
+
+    def forecast(self, flows: np.ndarray, timestamps: np.ndarray,
+                 batch_size: int) -> np.ndarray:
+        """Forecasts of every sliding window of a step sequence, on the frozen
+        store: (S, N, C) plus (S, k) -> (S - T + 1, horizon, N, C), window i
+        being steps i to i + T - 1.
+
+        Each batch of up to ``batch_size`` windows is one ``forward_batch`` of
+        the steps that the batch covers, with the windows' step indices.
+        """
+        t = self.config.input_len
+        count = len(flows) - t + 1
+        if count < 1:
+            raise ValueError(f"{len(flows)} steps hold no window of input_len={t}")
+        preds = []
+        with self.store.frozen():
+            for start in range(0, count, batch_size):
+                size = min(batch_size, count - start)
+                steps = slice(start, start + size + t - 1)
+                windows = np.arange(size)[:, None] + np.arange(t)
+                preds.append(self.forward_batch(flows[steps], timestamps[steps],
+                                                windows)[0].data)
+        return np.concatenate(preds)
+
+    def _step_local(self, x: np.ndarray, timestamps: np.ndarray, windows: np.ndarray | None,
+                    bias: Tensor | None, weights: list[Tensor]) -> Tensor:
+        """The step-local half: (..., steps, N, C) plus (..., steps, k) ->
+        (..., steps, N, D) through the encodings, the fusion and the leading
+        run of spatial blocks, for any number of steps; then, with
+        ``windows``, the gather of its (S, N, D) output into ``h[windows]``.
+
+        Every token here depends on its own step alone: the encodings read its
+        flow, its step's timestamps and its node's degrees, spatial attention
+        mixes nodes within one step, and the feedforward and the layer norms
+        act on one token at a time.
+        """
+        cfg = self.config
+        x = np.asarray(x, dtype=np.float64)
+        timestamps = np.asarray(timestamps, dtype=np.float64)
+        n, c = x.shape[-2:]
         if n != self.graph.num_nodes:
             raise ValueError(f"window has {n} nodes but graph has {self.graph.num_nodes}")
         if c != cfg.channels:
             raise ValueError(f"window has {c} channels but config says {cfg.channels}")
-        if timestamps.shape != (b, t, cfg.temporal_features):
+        if timestamps.shape != x.shape[:-2] + (cfg.temporal_features,):
             raise ValueError(
                 f"timestamps shape {timestamps.shape} != expected "
-                f"{(b, t, cfg.temporal_features)}")
+                f"{x.shape[:-2] + (cfg.temporal_features,)}")
 
         t_enc = (temporal_input_encoding(timestamps, self.time_params)
                  if cfg.use_time_encoding else None)
         s_enc = (spatial_input_encoding(self.graph, self.degree_tables)
                  if cfg.use_degree_encoding else None)
-        h = fuse_inputs(Tensor(x), t_enc, s_enc, self.fusion_w, self.fusion_b)
+        h = self._run_blocks(fuse_inputs(Tensor(x), t_enc, s_enc, self.fusion_w, self.fusion_b),
+                             self.blocks[:self._lead], bias, weights)
+        if windows is None:
+            return h
+        if h.requires_grad:
+            raise ValueError("windows are gathered only on a frozen store: the balance "
+                             "term would count each step once, not once per window")
+        return Tensor(h.data[windows])
 
-        bias = (spd_bias(self.spd, self.spd_table, cfg.max_spd)
-                if cfg.use_spd_bias else None)
-        weights = []
+    @staticmethod
+    def _run_blocks(h: Tensor, blocks: list[Block], bias: Tensor | None,
+                    weights: list[Tensor]) -> Tensor:
+        """``blocks`` in order on ``h``, appending the gate weights of each MoE
+        block that records a graph to ``weights``."""
         # Each activation is dropped as soon as it is consumed: without a
         # graph (inference) that frees it before the next one is made.
-        for block in self.blocks:
+        for block in blocks:
             if block.axis == "S":
                 attended = spatial_attention(h, block.attn, bias)
             else:
@@ -302,10 +369,7 @@ class StgormerModel:
                 f = expert_forward(h, block.experts[0])
             h = layer_norm(h, f, block.norm2_gamma, block.norm2_beta)
             del f
-
-        per_node = h.transpose(0, 2, 1, 3).reshape(b, n, t * cfg.hidden_dim)
-        out = linear(per_node, self.head_w, self.head_b)
-        return out.reshape(b, n, cfg.horizon, cfg.channels).transpose(0, 2, 1, 3), weights
+        return h
 
     def forward(self, x: np.ndarray, timestamps: np.ndarray) -> Tensor:
         """Single-window forward: (T, N, C) plus (T, k) -> (horizon, N, C)."""

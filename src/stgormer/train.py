@@ -102,18 +102,19 @@ def _train_step(model: StgormerModel, opt: AdamState, xs, tss, ys, epoch: int) -
     return parts
 
 
-def _validation_mae(model: StgormerModel, windows, batch_size: int) -> float:
-    """Plain MAE over all validation windows, on the normalized scale."""
+def _validation_mae(model: StgormerModel, ds: FlowDataset, targets: np.ndarray,
+                    batch_size: int) -> float:
+    """Plain MAE over all validation windows, on the normalized scale; ``ds``
+    is the normalized split and ``targets`` its windows' targets."""
+    steps = len(targets) + model.config.input_len - 1
+    preds = model.forecast(ds.flows[:steps], ds.timestamps[:steps], batch_size)
     total_abs = 0.0
-    total_count = 0
-    with model.store.frozen():
-        for start in range(0, len(windows), batch_size):
-            idx = range(start, min(start + batch_size, len(windows)))
-            xs, tss, ys = _stack_windows(windows, idx)
-            pred = model.forward_batch(xs, tss)[0].data
-            total_abs += float(np.abs(pred - ys).sum())
-            total_count += ys.size
-    return total_abs / total_count
+    # summed batch by batch, as when each batch was forwarded on its own, so
+    # the MAE keeps its bits
+    for start in range(0, len(targets), batch_size):
+        batch = slice(start, start + batch_size)
+        total_abs += float(np.abs(preds[batch] - targets[batch]).sum())
+    return total_abs / targets.size
 
 
 def train_loop(model: StgormerModel, splits: tuple[FlowDataset, FlowDataset],
@@ -134,10 +135,8 @@ def train_loop(model: StgormerModel, splits: tuple[FlowDataset, FlowDataset],
     model.normalizer = normalizer
     train_windows = make_windows(_normalized_dataset(train_ds, normalizer),
                                  cfg.input_len, cfg.horizon)
-    val_windows = make_windows(_normalized_dataset(val_ds, normalizer),
-                               cfg.input_len, cfg.horizon)
-    if not train_windows:
-        raise ValueError("empty training split: no windows available")
+    val_norm = _normalized_dataset(val_ds, normalizer)
+    val_targets = np.stack([w.y for w in make_windows(val_norm, cfg.input_len, cfg.horizon)])
 
     opt = AdamState(lr=tcfg.lr)
     history = TrainHistory()
@@ -174,7 +173,7 @@ def train_loop(model: StgormerModel, splits: tuple[FlowDataset, FlowDataset],
         if val_metric_fn is not None:
             val_mae = float(val_metric_fn(model, epoch))
         else:
-            val_mae = _validation_mae(model, val_windows, tcfg.batch_size)
+            val_mae = _validation_mae(model, val_norm, val_targets, tcfg.batch_size)
         if not np.isfinite(val_mae):
             raise DivergenceError(f"non-finite validation MAE {val_mae} at epoch {epoch}; "
                                   "lower the learning rate")
@@ -213,18 +212,11 @@ def evaluate(model: StgormerModel, ds: FlowDataset, threshold: float,
         raise ValueError("model has no normalizer attached; train or load first")
     cfg = model.config
     windows = make_windows(ds, cfg.input_len, cfg.horizon)
-    if not windows:
-        raise ValueError("empty split: no windows to evaluate")
-    preds = []
-    targets = []
-    with model.store.frozen():
-        for start in range(0, len(windows), batch_size):
-            idx = range(start, min(start + batch_size, len(windows)))
-            xs, tss, ys = _stack_windows(windows, idx)
-            pred = model.forward_batch(model.normalizer.apply(xs), tss)[0].data
-            preds.append(model.normalizer.invert(pred))
-            targets.append(ys)
-    return metrics(np.concatenate(targets), np.concatenate(preds), threshold)
+    steps = len(windows) + cfg.input_len - 1
+    preds = model.forecast(model.normalizer.apply(ds.flows[:steps]), ds.timestamps[:steps],
+                           batch_size)
+    return metrics(np.stack([w.y for w in windows]), model.normalizer.invert(preds),
+                   threshold)
 
 
 STUDY_COLUMNS = ("variant", "mae", "rmse", "mape", "epochs", "params")

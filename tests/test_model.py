@@ -1,5 +1,6 @@
 import dataclasses
 import io
+import pathlib
 import re
 import zlib
 
@@ -12,8 +13,8 @@ from permutation import relabel
 from tensor_ops import absolute, add, mean, mul, sub, total
 from traced_memory import kept_bytes, peak_bytes, tracing
 import stgormer.model
-from stgormer.cli import main
-from stgormer.data import Normalizer, save_timestamps, write_flow_tensor
+from stgormer.cli import load_data_dir, main
+from stgormer.data import Normalizer, save_timestamps, split, write_flow_tensor
 from stgormer.graph import SpatioTemporalGraph, save_graph
 from stgormer.model import (StgormerConfig, build, load_model, loss, read_param_block,
                             save_model, write_param_block)
@@ -439,6 +440,89 @@ class TestFrozenInference:
         x, ts, _ = sample_inputs(cfg, 6)
         model.predict(x, ts)
         assert [p for p, t in model.store.items() if not t.requires_grad] == [frozen_path]
+
+
+def batched_forecast(model, flows, ts, batch_size):
+    """What ``forecast`` replaces: frozen ``forward_batch`` on the stacked
+    windows, ``batch_size`` windows at a time."""
+    t = model.config.input_len
+    count = len(flows) - t + 1
+    preds = []
+    with model.store.frozen():
+        for start in range(0, count, batch_size):
+            starts = range(start, min(start + batch_size, count))
+            preds.append(model.forward_batch(np.stack([flows[i:i + t] for i in starts]),
+                                             np.stack([ts[i:i + t] for i in starts]))[0].data)
+    return np.concatenate(preds)
+
+
+def step_sequence(cfg, n, steps, seed=0):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(size=(steps, n, cfg.channels)),
+            rng.uniform(0, 1, size=(steps, cfg.temporal_features)))
+
+
+# Outside the golden config a step-local pass may leave the MoE a tail block
+# of at most 10 rows, whose second GEMM (K = expansion * width) OpenBLAS
+# rounds differently from the same rows inside a larger block.
+FORECAST_ATOL = 1e-12
+
+
+class TestForecast:
+    @pytest.mark.parametrize("overrides", [
+        {"block_order": order} for order in ("SSSTTT", "STSTST", "TTTSSS", "TSTSTS", "SS", "T")
+    ] + [{toggle: False} for toggle in ("use_time_encoding", "use_degree_encoding",
+                                        "use_spd_bias", "use_moe")] + [{"horizon": 3}])
+    @pytest.mark.parametrize("batch_size", [1, 4, 32])
+    def test_matches_batched_forward(self, overrides, batch_size):
+        # 13 windows: batch 4 does not divide them, batch 32 takes them at once
+        cfg = small_config(input_len=6, **overrides)
+        model = build(cfg, small_graph())
+        flows, ts = step_sequence(cfg, 6, 18)
+        got = model.forecast(flows, ts, batch_size)
+        want = batched_forecast(model, flows, ts, batch_size)
+        assert got.shape == (13, cfg.horizon, 6, cfg.channels)
+        np.testing.assert_allclose(got, want, rtol=0, atol=FORECAST_ATOL)
+
+    def test_default_width_matches_batched_forward(self):
+        cfg = StgormerConfig(block_order="SSTT", input_len=4)
+        model = build(cfg, small_graph(n=5))
+        flows, ts = step_sequence(cfg, 5, 40)
+        np.testing.assert_allclose(model.forecast(flows, ts, 16),
+                                   batched_forecast(model, flows, ts, 16),
+                                   rtol=0, atol=FORECAST_ATOL)
+
+    @pytest.mark.parametrize("batch_size", [32, 16, 7, 1])
+    def test_golden_config_is_bitwise_the_batched_forward(self, batch_size):
+        data = load_data_dir(pathlib.Path(__file__).parent / "golden" / "data")
+        cfg = StgormerConfig(hidden_dim=8, heads=2, block_order="ST", experts=2,
+                             expert_expansion=2, time_dim=3, degree_dim=4, input_len=6,
+                             horizon=1, seed=12)
+        model = build(cfg, data.graph)
+        test = split(data)[2]
+        got = model.forecast(test.flows, test.timestamps, batch_size)
+        assert got.tobytes() == batched_forecast(model, test.flows, test.timestamps,
+                                                 batch_size).tobytes()
+
+    def test_keeps_each_parameter_flag(self):
+        model = build(small_config(), small_graph())
+        model.store["head.w"].requires_grad = False
+        model.forecast(*step_sequence(model.config, 6, 10), 2)
+        assert [p for p, t in model.store.items() if not t.requires_grad] == ["head.w"]
+
+    def test_too_few_steps_rejected(self):
+        model = build(small_config(), small_graph())
+        with pytest.raises(ValueError, match="7 steps hold no window of input_len=8"):
+            model.forecast(*step_sequence(model.config, 6, 7), 4)
+
+    def test_gathered_windows_need_a_frozen_store(self):
+        # with a graph, the leading blocks' balance term would count each
+        # step once instead of once per window that holds it
+        cfg = small_config(input_len=4)
+        model = build(cfg, small_graph())
+        windows = np.arange(6)[:, None] + np.arange(4)
+        with pytest.raises(ValueError, match="only on a frozen store"):
+            model.forward_batch(*step_sequence(cfg, 6, 9), windows)
 
 
 class TestFullGradient:

@@ -5,6 +5,7 @@ import pytest
 
 from tensor_ops import add, mean, mul
 from traced_memory import peak_bytes
+import stgormer.model
 from stgormer.data import (FlowDataset, SyntheticSpec, fit_normalizer, make_windows,
                            metrics, split, synthesize)
 from stgormer.model import StgormerConfig, build, load_model, loss, save_model
@@ -298,6 +299,44 @@ class TestEvaluate:
 
         one, three = eval_peak(1), eval_peak(3)
         assert three <= 1.5 * one, f"peak {three} B over 3 batches vs {one} B over 1"
+
+    def test_memory_does_not_grow_with_batch_count_after_two_spatial_blocks(self):
+        # the same bound when the step-local half runs two blocks and its
+        # output is gathered into each batch's windows
+        ds = tiny_dataset()
+        model = build(tiny_model_config(block_order="SSTT"), ds.graph)
+        model.normalizer = fit_normalizer(ds)
+        span = model.config.input_len + model.config.horizon - 1
+
+        def eval_peak(batches):
+            steps = span + 16 * batches
+            part = FlowDataset(ds.flows[:steps], ds.timestamps[:steps], ds.graph)
+            return peak_bytes(lambda: evaluate(model, part, 0.0, batch_size=16))[1]
+
+        one, three = eval_peak(1), eval_peak(3)
+        assert three <= 1.5 * one, f"peak {three} B over 3 batches vs {one} B over 1"
+
+    def test_leading_spatial_blocks_run_once_per_step(self, monkeypatch):
+        # 18 test windows in batches of 7, 7 and 4: blocks 0-2 see each step
+        # of a batch once, (B + T - 1) * N tokens, and blocks 3-5 each window,
+        # B * T * N tokens
+        ds = tiny_dataset(num_nodes=12)
+        test_ds = split(ds)[2]
+        model = build(tiny_model_config(block_order="SSSTTT"), ds.graph)
+        model.normalizer = fit_normalizer(ds)
+        t, n = model.config.input_len, 12
+        rows = []
+
+        def counted(x, experts, router):
+            rows.append(int(np.prod(x.shape[:-1])))
+            return moe_forward(x, experts, router)
+
+        monkeypatch.setattr(stgormer.model, "moe_forward", counted)
+        evaluate(model, test_ds, 0.0, batch_size=7)
+        batches = (7, 7, 4)
+        assert len(make_windows(test_ds, t, 1)) == sum(batches)
+        assert rows == [r for b in batches
+                        for r in [(b + t - 1) * n] * 3 + [b * t * n] * 3]
 
     def test_empty_split_rejected(self):
         ds = tiny_dataset()
