@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -315,6 +316,11 @@ def cmd_study(args) -> int:
 # -- parser ------------------------------------------------------------------------------
 
 
+# Built once per process: each build leaves a few hundred objects of cyclic
+# garbage (argparse's parsers and the formatter that every add_argument makes),
+# and a process that calls main repeatedly would have the collector free it
+# at an arbitrary point of a later command.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="stgormer",

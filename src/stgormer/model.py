@@ -261,12 +261,15 @@ class StgormerModel:
         With ``windows``, a (B, T) array of step indices, ``x`` and
         ``timestamps`` are a step sequence instead, (S, N, C) and (S, k), and
         the batch is its windows ``x[windows]``: the step-local half then runs
-        once per step, and its output is gathered into the windows. That
-        takes a frozen store.
+        once per step, and its output is gathered into the windows. With a
+        graph, the gather's backward sums each step's window gradients.
 
         Also returns, in block order, the gate weights of each MoE block that
         records a graph, for the balance term of ``loss``: none when MoE is
         off, and none from a frozen store, whose forward keeps only its output.
+        A leading block's weights are gathered into the windows too, so the
+        balance term is the same function of the parameters with or without
+        ``windows``.
         """
         cfg = self.config
         _, t, *_ = np.shape(x if windows is None else windows)
@@ -313,7 +316,8 @@ class StgormerModel:
         """The step-local half: (..., steps, N, C) plus (..., steps, k) ->
         (..., steps, N, D) through the encodings, the fusion and the leading
         run of spatial blocks, for any number of steps; then, with
-        ``windows``, the gather of its (S, N, D) output into ``h[windows]``.
+        ``windows``, the gather of its (S, N, D) output, and of the gate
+        weights it appended to ``weights``, into the windows.
 
         Every token here depends on its own step alone: the encodings read its
         flow, its step's timestamps and its node's degrees, spatial attention
@@ -341,10 +345,10 @@ class StgormerModel:
                              self.blocks[:self._lead], bias, weights)
         if windows is None:
             return h
-        if h.requires_grad:
-            raise ValueError("windows are gathered only on a frozen store: the balance "
-                             "term would count each step once, not once per window")
-        return Tensor(h.data[windows])
+        # the leading blocks' gate weights as the windows hold them, so that
+        # the balance term counts each step once per window that covers it
+        weights[:] = [w[windows] for w in weights]
+        return h[windows]
 
     @staticmethod
     def _run_blocks(h: Tensor, blocks: list[Block], bias: Tensor | None,

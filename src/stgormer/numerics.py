@@ -161,6 +161,10 @@ class Tensor:
 
     def __getitem__(self, key) -> "Tensor":
         data = self.data[key]
+        # a view would follow later in-place edits of a parameter leaf; an
+        # integer-array index has already made a copy
+        if np.may_share_memory(data, self.data):
+            data = data.copy()
         in_shape = self.data.shape
 
         def back(g: np.ndarray) -> tuple:
@@ -168,7 +172,7 @@ class Tensor:
             np.add.at(buf, key, g)
             return buf,
 
-        return Tensor._result(np.array(data), (self,), back)
+        return Tensor._result(data, (self,), back)
 
 
 # Lanes: contiguous runs of whole row blocks that the row-wise primitives

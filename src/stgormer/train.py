@@ -75,13 +75,6 @@ class TrainHistory:
         return self.epochs[self.best_epoch - 1].val_mae
 
 
-def _stack_windows(windows, indices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xs = np.stack([windows[i].x for i in indices])
-    tss = np.stack([windows[i].x_timestamps for i in indices])
-    ys = np.stack([windows[i].y for i in indices])
-    return xs, tss, ys
-
-
 def _normalized_dataset(ds: FlowDataset, normalizer) -> FlowDataset:
     return FlowDataset(normalizer.apply(ds.flows), ds.timestamps, ds.graph)
 
@@ -89,9 +82,17 @@ def _normalized_dataset(ds: FlowDataset, normalizer) -> FlowDataset:
 # No batch's autodiff graph outlives its batch: training keeps only ndarrays
 # and floats from each forward_batch, so memory does not grow with the number
 # of batches. Validation and evaluation run frozen and build no graph at all.
-def _train_step(model: StgormerModel, opt: AdamState, xs, tss, ys, epoch: int) -> dict:
-    """One optimizer step on a batch; returns the loss parts, gate usage included."""
-    pred, weights = model.forward_batch(xs, tss)
+def _train_step(model: StgormerModel, opt: AdamState, ds: FlowDataset, starts: np.ndarray,
+                ys: np.ndarray, epoch: int) -> dict:
+    """One optimizer step on the windows of ``ds`` that begin at ``starts``,
+    whose targets are ``ys``; returns the loss parts, gate usage included.
+
+    The forward takes the distinct steps that the windows cover, once each,
+    and the windows as indices into them."""
+    steps, windows = np.unique(starts[:, None] + np.arange(model.config.input_len),
+                               return_inverse=True)
+    pred, weights = model.forward_batch(ds.flows[steps], ds.timestamps[steps],
+                                        windows.reshape(len(starts), -1))
     total, parts = loss(pred, ys, weights, model.config.alpha)
     if not np.isfinite(total.item()):
         raise DivergenceError(
@@ -133,8 +134,8 @@ def train_loop(model: StgormerModel, splits: tuple[FlowDataset, FlowDataset],
     cfg = model.config
     normalizer = fit_normalizer(train_ds)
     model.normalizer = normalizer
-    train_windows = make_windows(_normalized_dataset(train_ds, normalizer),
-                                 cfg.input_len, cfg.horizon)
+    train_norm = _normalized_dataset(train_ds, normalizer)
+    train_targets = np.stack([w.y for w in make_windows(train_norm, cfg.input_len, cfg.horizon)])
     val_norm = _normalized_dataset(val_ds, normalizer)
     val_targets = np.stack([w.y for w in make_windows(val_norm, cfg.input_len, cfg.horizon)])
 
@@ -148,7 +149,7 @@ def train_loop(model: StgormerModel, splits: tuple[FlowDataset, FlowDataset],
         t0 = time.perf_counter()
         opt.lr = scheduled_lr(tcfg.lr, epoch - 1, tcfg.lr_decay_factor,
                               tcfg.lr_decay_every, tcfg.lr_floor)
-        order = np.random.default_rng([tcfg.seed, epoch]).permutation(len(train_windows))
+        order = np.random.default_rng([tcfg.seed, epoch]).permutation(len(train_targets))
         abs_sum = 0.0
         abs_count = 0
         lb_sum = 0.0
@@ -156,8 +157,8 @@ def train_loop(model: StgormerModel, splits: tuple[FlowDataset, FlowDataset],
         n_steps = 0
         for start in range(0, len(order), tcfg.batch_size):
             batch = order[start:start + tcfg.batch_size]
-            xs, tss, ys = _stack_windows(train_windows, batch)
-            parts = _train_step(model, opt, xs, tss, ys, epoch)
+            ys = train_targets[batch]
+            parts = _train_step(model, opt, train_norm, batch, ys, epoch)
             fracs = parts["usage"]
             abs_sum += parts["mae"] * ys.size
             abs_count += ys.size

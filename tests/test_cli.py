@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import pathlib
 import re
@@ -706,6 +707,22 @@ class TestCliPlumbing:
         assert "--threshold" in out
         assert "default: 0.0" in out
         assert "--split" in out
+
+    def test_repeated_calls_leave_no_cyclic_garbage(self, tmp_path):
+        # the parser is built once per process: a build leaves argparse's
+        # parsers and the formatter of each argument as cyclic garbage, which
+        # the collector would free at some point of a later command
+        graph_file = tmp_path / "g.txt"
+        graph_file.write_text("3 undirected\n0 1\n0 2\n1 2\n")
+        argv = ["encode", "--graph", str(graph_file), "--out", str(tmp_path / "enc")]
+        assert main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == 0
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_module_entry_point(self):
         proc = subprocess.run([sys.executable, "-m", "stgormer.cli", "--version"],

@@ -13,6 +13,7 @@ from permutation import relabel
 from tensor_ops import absolute, add, mean, mul, sub, total
 from traced_memory import kept_bytes, peak_bytes, tracing
 import stgormer.model
+import stgormer.moe
 from stgormer.cli import load_data_dir, main
 from stgormer.data import Normalizer, save_timestamps, split, write_flow_tensor
 from stgormer.graph import SpatioTemporalGraph, save_graph
@@ -515,14 +516,90 @@ class TestForecast:
         with pytest.raises(ValueError, match="7 steps hold no window of input_len=8"):
             model.forecast(*step_sequence(model.config, 6, 7), 4)
 
-    def test_gathered_windows_need_a_frozen_store(self):
-        # with a graph, the leading blocks' balance term would count each
-        # step once instead of once per window that holds it
-        cfg = small_config(input_len=4)
+
+
+def window_batch(cfg, n, batch, steps=60, seed=0):
+    """A step sequence, ``batch`` shuffled windows of it, overlapping as a
+    training batch's do, and their targets: the windows both stacked and as
+    their distinct steps plus a (B, T) index into those."""
+    flows, ts = step_sequence(cfg, n, steps, seed)
+    t = cfg.input_len
+    rng = np.random.default_rng(seed + 1)
+    starts = rng.permutation(steps - t - cfg.horizon + 1)[:batch]
+    distinct, windows = np.unique(starts[:, None] + np.arange(t), return_inverse=True)
+    ys = np.stack([flows[s + t:s + t + cfg.horizon] for s in starts])
+    stacked = (np.stack([flows[s:s + t] for s in starts]),
+               np.stack([ts[s:s + t] for s in starts]))
+    return stacked, (flows[distinct], ts[distinct], windows.reshape(batch, t)), ys
+
+
+def recorded_step(model, inputs, ys):
+    """The loss, gate usage, forecast and parameter gradients of one recorded
+    forward and backward on ``inputs``, the arguments of ``forward_batch``."""
+    pred, weights = model.forward_batch(*inputs)
+    total, parts = loss(pred, ys, weights, model.config.alpha)
+    backward(total, model.store)
+    return total.item(), parts["usage"], pred.data, {p: t.grad for p, t in model.store.items()}
+
+
+def short_moe_tail(model, rows):
+    """Whether ``rows`` tokens leave the MoE a tail block of at most 10 rows."""
+    cfg = model.config
+    block = stgormer.moe._BLOCK_BYTES // (8 * cfg.experts * cfg.expert_expansion * cfg.hidden_dim)
+    return cfg.use_moe and 0 < rows % block <= 10
+
+
+class TestSharedSteps:
+    """A training batch's recorded forward over its distinct steps, gathered
+    into the windows, against the per-window graph of the same windows."""
+
+    def check(self, cfg, nodes, batch, steps=60):
+        model = build(cfg, small_graph(n=nodes, seed=5, prob=0.3))
+        stacked, shared, ys = window_batch(cfg, nodes, batch, steps)
+        want = recorded_step(model, stacked, ys)
+        got = recorded_step(model, shared, ys)
+        # A step-local MoE tail block of at most 10 rows is rounded by another
+        # OpenBLAS kernel than the same rows inside a larger block (see
+        # FORECAST_ATOL); every other token keeps its bits.
+        if short_moe_tail(model, len(shared[0]) * nodes):
+            assert got[0] == pytest.approx(want[0], rel=1e-12, abs=0)
+            for a, b in zip(got[1], want[1]):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(got[2], want[2], rtol=0, atol=1e-12)
+        else:
+            assert got[0] == want[0]
+            assert [u.tobytes() for u in got[1]] == [u.tobytes() for u in want[1]]
+            assert got[2].tobytes() == want[2].tobytes()
+        # the scatter sums a step's window gradients before the leading
+        # blocks' GEMMs, so the parameter gradients move in the last bits
+        for path, g in want[3].items():
+            assert np.abs(got[3][path] - g).max() <= 1e-12 * np.abs(g).max(), path
+
+    @pytest.mark.parametrize("overrides", [
+        {"block_order": order} for order in ("SSSTTT", "STST", "SS", "T")
+    ] + [{"use_moe": False}, {"use_time_encoding": False}, {"horizon": 3}])
+    @pytest.mark.parametrize("nodes,batch", [(12, 32), (7, 6)])
+    def test_matches_per_window_graph(self, overrides, nodes, batch):
+        self.check(small_config(input_len=12, **overrides), nodes, batch)
+
+    # 44 steps hold 32 windows over 43 distinct steps: 516 tokens leave the
+    # MoE's 128-row blocks a 4-row tail
+    @pytest.mark.parametrize("order,nodes,batch,steps", [
+        ("SSSTTT", 12, 32, 60), ("SSSTTT", 12, 32, 44), ("STST", 7, 6, 60)])
+    def test_default_width_matches_per_window_graph(self, order, nodes, batch, steps):
+        self.check(StgormerConfig(block_order=order), nodes, batch, steps)
+
+    def test_finite_difference(self):
+        cfg = small_config(block_order="SST", input_len=4)
         model = build(cfg, small_graph())
-        windows = np.arange(6)[:, None] + np.arange(4)
-        with pytest.raises(ValueError, match="only on a frozen store"):
-            model.forward_batch(*step_sequence(cfg, 6, 9), windows)
+        _, shared, ys = window_batch(cfg, 6, 4, steps=12, seed=1)
+        assert len(shared[0]) < 4 * cfg.input_len  # the windows overlap
+
+        def fwd():
+            pred, weights = model.forward_batch(*shared)
+            return loss(pred, ys, weights, cfg.alpha)[0]
+
+        assert finite_difference_check(fwd, model.store, max_coords=120) < 1e-4
 
 
 class TestFullGradient:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lane_pools import DeferredPool, InlinePool
-from traced_memory import kept_bytes
+from traced_memory import kept_bytes, peak_bytes
 from tensor_ops import absolute, add, mean, mul, sub, total
 from stgormer import numerics
 from stgormer.moe import RouterParams, gate
@@ -414,6 +414,23 @@ class TestNodeContract:
         self.node((a, c, b), [None, np.ones(5), np.arange(3.0)]).backward()
         assert a.grad is None and c.grad is None
         assert b.grad.tolist() == [0.0, 1.0, 2.0]
+
+
+class TestIndex:
+    def test_integer_array_index_allocates_its_output_once(self):
+        # numpy's integer-array index already copies; 32 windows of 12 steps
+        # gathered from 43 steps, as a training batch's step-local output is
+        h = Tensor(np.zeros((43, 12, 64)), requires_grad=True)
+        windows = np.arange(32)[:, None] + np.arange(12)
+        out, peak = peak_bytes(lambda: h[windows])
+        assert peak < 1.25 * out.data.nbytes, f"{peak / out.data.nbytes:.2f} outputs at peak"
+
+    def test_basic_index_of_a_leaf_does_not_follow_its_later_edits(self):
+        # a slice is a view, and the optimizer edits parameter leaves in place
+        p = Tensor(np.arange(6.0), requires_grad=True)
+        part = p[1:3]
+        p.data[1] = 10.0
+        assert part.data.tolist() == [1.0, 2.0]
 
 
 class TestFrozenStore:

@@ -180,6 +180,52 @@ class TestTrainLoop:
                                      checkpoint_dir=str(tmp_path / "run")))
         assert (tmp_path / "run" / "model.ckpt").is_file()
 
+    def test_leading_spatial_blocks_run_once_per_distinct_step(self, monkeypatch):
+        # a training batch sends each distinct step of its windows through
+        # blocks 0-2 once, and each window through blocks 3-5
+        ds = tiny_dataset(num_nodes=12)
+        train_ds, val_ds, _ = split(ds)
+        model = build(tiny_model_config(block_order="SSSTTT"), ds.graph)
+        tcfg = tiny_train_config(max_epochs=1, batch_size=16)
+        rows = []
+
+        def counted(x, experts, router):
+            rows.append(int(np.prod(x.shape[:-1])))
+            return moe_forward(x, experts, router)
+
+        monkeypatch.setattr(stgormer.model, "moe_forward", counted)
+        train_loop(model, (train_ds, val_ds), tcfg, val_metric_fn=lambda model_, epoch: 1.0)
+        t, n = model.config.input_len, 12
+        order = np.random.default_rng([tcfg.seed, 1]).permutation(
+            len(make_windows(train_ds, t, 1)))
+        want = []
+        for start in range(0, len(order), 16):
+            batch = order[start:start + 16]
+            distinct = {int(s) + i for s in batch for i in range(t)}
+            want += [len(distinct) * n] * 3 + [len(batch) * t * n] * 3
+        assert rows == want
+        assert sum(want[::6]) < sum(want[3::6])  # the windows do share steps
+
+    def test_memory_does_not_grow_with_batch_count(self):
+        # each batch's graph, its gathered windows and their scattered
+        # gradients are freed before the next batch runs
+        ds = tiny_dataset()
+        train_ds, val_ds, _ = split(ds)
+        cfg = tiny_model_config()
+        span = cfg.input_len + cfg.horizon - 1
+
+        def train_peak(batches):
+            steps = span + 16 * batches
+            part = dataclasses.replace(train_ds, flows=train_ds.flows[:steps],
+                                       timestamps=train_ds.timestamps[:steps])
+            model = build(cfg, ds.graph)
+            return peak_bytes(lambda: train_loop(
+                model, (part, val_ds), tiny_train_config(max_epochs=1, batch_size=16),
+                val_metric_fn=lambda model_, epoch: 1.0))[1]
+
+        one, three = train_peak(1), train_peak(3)
+        assert three <= 1.5 * one, f"peak {three} B over 3 batches vs {one} B over 1"
+
 
 class TestGradientsNeverWrittenInPlace:
     """Every ndarray handed to ``Tensor._accumulate`` is marked read-only, so
