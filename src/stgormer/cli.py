@@ -279,6 +279,10 @@ def cmd_predict(args) -> int:
 
 def cmd_encode(args) -> int:
     g = load_graph(args.graph)
+    model = load_model(args.checkpoint) if args.checkpoint else None
+    mismatch = model is not None and graph_mismatch(model.graph, g)
+    if mismatch:
+        raise ValueError(f"graph mismatch: {mismatch}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     indeg, outdeg = degrees(g)
@@ -287,8 +291,7 @@ def cmd_encode(args) -> int:
     spd = shortest_path_matrix(g)
     header = [str(i) for i in range(g.num_nodes)]
     write_csv(out / "spd.csv", header, spd.tolist())
-    if args.checkpoint:
-        model = load_model(args.checkpoint)
+    if model is not None:
         with model.store.frozen():
             bias = spd_bias(spd, model.spd_table, model.config.max_spd)
         write_csv(out / "sa_bias.csv", header,

@@ -255,24 +255,23 @@ class StgormerModel:
     # -- forward -----------------------------------------------------------
 
     def forward_batch(self, x: np.ndarray, timestamps: np.ndarray,
-                      windows: np.ndarray | None = None) -> tuple[Tensor, list[Tensor]]:
-        """Batched forward: (B, T, N, C) plus (B, T, k) -> (B, horizon, N, C).
+                      windows: np.ndarray) -> tuple[Tensor, list[Tensor]]:
+        """Batched forward: a step sequence, (S, N, C) plus (S, k), and a
+        (B, T) array of step indices, whose rows are the windows ``x[windows]``
+        -> (B, horizon, N, C).
 
-        With ``windows``, a (B, T) array of step indices, ``x`` and
-        ``timestamps`` are a step sequence instead, (S, N, C) and (S, k), and
-        the batch is its windows ``x[windows]``: the step-local half then runs
-        once per step, and its output is gathered into the windows. With a
-        graph, the gather's backward sums each step's window gradients.
+        The step-local half runs once per step, and its output is gathered into
+        the windows. With a graph, the gather's backward sums each step's
+        window gradients.
 
         Also returns, in block order, the gate weights of each MoE block that
         records a graph, for the balance term of ``loss``: none when MoE is
         off, and none from a frozen store, whose forward keeps only its output.
         A leading block's weights are gathered into the windows too, so the
-        balance term is the same function of the parameters with or without
-        ``windows``.
+        balance term counts each step once per window that covers it.
         """
         cfg = self.config
-        _, t, *_ = np.shape(x if windows is None else windows)
+        _, t = windows.shape
         if t != cfg.input_len:
             raise ValueError(f"window length {t} != configured input_len {cfg.input_len}")
         bias = (spd_bias(self.spd, self.spd_table, cfg.max_spd)
@@ -311,13 +310,12 @@ class StgormerModel:
                                                 windows)[0].data)
         return np.concatenate(preds)
 
-    def _step_local(self, x: np.ndarray, timestamps: np.ndarray, windows: np.ndarray | None,
+    def _step_local(self, x: np.ndarray, timestamps: np.ndarray, windows: np.ndarray,
                     bias: Tensor | None, weights: list[Tensor]) -> Tensor:
-        """The step-local half: (..., steps, N, C) plus (..., steps, k) ->
-        (..., steps, N, D) through the encodings, the fusion and the leading
-        run of spatial blocks, for any number of steps; then, with
-        ``windows``, the gather of its (S, N, D) output, and of the gate
-        weights it appended to ``weights``, into the windows.
+        """The step-local half: (S, N, C) plus (S, k) -> (S, N, D) through the
+        encodings, the fusion and the leading run of spatial blocks, then the
+        gather of that output, and of the gate weights it appended to
+        ``weights``, into the (B, T) ``windows``.
 
         Every token here depends on its own step alone: the encodings read its
         flow, its step's timestamps and its node's degrees, spatial attention
@@ -343,8 +341,6 @@ class StgormerModel:
                  if cfg.use_degree_encoding else None)
         h = self._run_blocks(fuse_inputs(Tensor(x), t_enc, s_enc, self.fusion_w, self.fusion_b),
                              self.blocks[:self._lead], bias, weights)
-        if windows is None:
-            return h
         # the leading blocks' gate weights as the windows hold them, so that
         # the balance term counts each step once per window that covers it
         weights[:] = [w[windows] for w in weights]
@@ -375,19 +371,15 @@ class StgormerModel:
             del f
         return h
 
-    def forward(self, x: np.ndarray, timestamps: np.ndarray) -> Tensor:
-        """Single-window forward: (T, N, C) plus (T, k) -> (horizon, N, C)."""
-        pred, _ = self.forward_batch(x[None, ...], np.asarray(timestamps)[None, ...])
-        return pred.reshape(pred.shape[1:])
-
     def predict(self, window: np.ndarray, timestamps: np.ndarray) -> np.ndarray:
-        """Forecast on the original scale, on the frozen store (no graph)."""
+        """One window's forecast on the original scale, on the frozen store (no
+        graph): (T, N, C) plus (T, k) -> (horizon, N, C)."""
         if self.normalizer is None:
             raise ValueError("model has no normalizer attached; train or load first")
+        window = self.normalizer.apply(np.asarray(window, dtype=np.float64))
         with self.store.frozen():
-            pred = self.forward(self.normalizer.apply(np.asarray(window, dtype=np.float64)),
-                                timestamps)
-        return self.normalizer.invert(pred.data)
+            pred, _ = self.forward_batch(window, timestamps, np.arange(len(window))[None])
+        return self.normalizer.invert(pred.data[0])
 
 
 def build(config: StgormerConfig, graph: SpatioTemporalGraph) -> StgormerModel:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from permutation import relabel
+from windows import one_window, stacked_forward
 from stgormer.cli import main
 from stgormer.data import (SyntheticSpec, fit_normalizer, make_windows,
                            metrics, split, synthesize)
@@ -96,13 +97,13 @@ def test_criterion_02_full_model_gradient_check():
         y = rng.normal(size=(cfg.horizon, 6, 1))
 
         def forward():
-            pred, usage = model.forward_batch(x[None], ts[None])
+            pred, usage = stacked_forward(model, x[None], ts[None])
             total, _ = loss(pred, y[None], usage, cfg.alpha)
             return total
 
         # keep every residual away from the |.| kink so central differences
         # at h=1e-5 probe a smooth region
-        residuals = np.abs(model.forward(x, ts).data - y)
+        residuals = np.abs(one_window(model, x, ts).data - y)
         assert residuals.min() > 1e-3
         err = finite_difference_check(forward, model.store, step=1e-5,
                                       max_coords=200, seed=0)
@@ -136,28 +137,28 @@ def test_criterion_04_ablation_bit_equivalences():
         m_on = build(desk_config(use_spd_bias=True), g)
         m_on.spd_table.data[:] = 0.0
         m_off = build(desk_config(use_spd_bias=False), g)
-        assert np.max(np.abs(m_on.forward(x, ts).data
-                             - m_off.forward(x, ts).data)) < 1e-12
+        assert np.max(np.abs(one_window(m_on, x, ts).data
+                             - one_window(m_off, x, ts).data)) < 1e-12
 
         # (b) disabling time encoding makes outputs timestamp-invariant
         m_no_t = build(desk_config(use_time_encoding=False), g)
         other_ts = rng.uniform(0, 1, size=ts.shape)
-        assert np.array_equal(m_no_t.forward(x, ts).data,
-                              m_no_t.forward(x, other_ts).data)
+        assert np.array_equal(one_window(m_no_t, x, ts).data,
+                              one_window(m_no_t, x, other_ts).data)
 
         # (c) disabling degree encoding makes outputs table-invariant
         m_no_s = build(desk_config(use_degree_encoding=False), g)
-        base = m_no_s.forward(x, ts).data
+        base = one_window(m_no_s, x, ts).data
         m_no_s.degree_tables.z_minus.data[:] += 11.0
         m_no_s.degree_tables.z_plus.data[:] -= 4.0
-        assert np.array_equal(m_no_s.forward(x, ts).data, base)
+        assert np.array_equal(one_window(m_no_s, x, ts).data, base)
 
         # (d) single-expert soft mixture == plain feedforward path, bitwise:
         # both run one fused feedforward node, under a gate of exactly 1.0
         m_one = build(desk_config(use_moe=True, experts=1), g)
         m_plain = build(desk_config(use_moe=False), g)
-        assert np.array_equal(m_one.forward(x, ts).data, m_plain.forward(x, ts).data)
-        assert m_plain.forward_batch(x[None], ts[None])[1] == []
+        assert np.array_equal(one_window(m_one, x, ts).data, one_window(m_plain, x, ts).data)
+        assert stacked_forward(m_plain, x[None], ts[None])[1] == []
 
 
 def test_criterion_05_node_permutation_equivariance():
@@ -168,7 +169,7 @@ def test_criterion_05_node_permutation_equivariance():
         rng = np.random.default_rng(5)
         x = rng.normal(size=(cfg.input_len, n, 1))
         ts = rng.uniform(0, 1, size=(cfg.input_len, 2))
-        base = build(cfg, g).forward(x, ts).data
+        base = one_window(build(cfg, g), x, ts).data
         scale = max(1.0, np.max(np.abs(base)))
         for _ in range(10):
             perm = rng.permutation(n).tolist()
@@ -176,7 +177,7 @@ def test_criterion_05_node_permutation_equivariance():
             x_perm = np.empty_like(x)
             for v in range(n):
                 x_perm[:, perm[v], :] = x[:, v, :]
-            out = model_p.forward(x_perm, ts).data
+            out = one_window(model_p, x_perm, ts).data
             for v in range(n):
                 dev = np.max(np.abs(out[:, perm[v], :] - base[:, v, :]))
                 assert dev / scale < 1e-8
@@ -218,7 +219,7 @@ def test_criterion_06_overfit_sanity():
                 xs = np.stack([windows[i].x for i in batch])
                 tss = np.stack([windows[i].x_timestamps for i in batch])
                 ys = np.stack([windows[i].y for i in batch])
-                pred, usage = model.forward_batch(xs, tss)
+                pred, usage = stacked_forward(model, xs, tss)
                 total, parts = loss(pred, ys, usage, cfg.alpha)
                 backward(total, model.store)
                 adam_step(model.store, opt)

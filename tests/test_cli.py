@@ -641,6 +641,20 @@ class TestEncode:
         spd = shortest_path_matrix(g)
         assert matrix[0, 0] == table[0]  # diagonal distance 0
 
+    def test_graph_not_the_checkpoints_rejected(self, workspace, capsys):
+        # unchecked, the checkpoint's bias table was written over the 9 x 9
+        # distances of a graph that the model never sees
+        ckpt = train_run(workspace) / "model.ckpt"
+        graph_file = workspace / "nine.txt"
+        graph_file.write_text("9 undirected\n0 1\n1 2\n")
+        out = workspace / "enc"
+        code = main(["encode", "--graph", str(graph_file), "--out", str(out),
+                     "--checkpoint", str(ckpt)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: graph mismatch: checkpoint graph has 6 nodes, data has 9\n")
+        assert not out.exists()
+
 
 class TestStudy:
     def test_ablation_table(self, workspace):

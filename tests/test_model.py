@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from permutation import relabel
 from tensor_ops import absolute, add, mean, mul, sub, total
 from traced_memory import kept_bytes, peak_bytes, tracing
+from windows import one_window, stacked_forward
 import stgormer.model
 import stgormer.moe
 from stgormer.cli import load_data_dir, main
@@ -119,7 +120,7 @@ class TestForward:
         g = small_graph()
         model = build(cfg, g)
         x, ts, _ = sample_inputs(cfg, g.num_nodes)
-        assert model.forward(x, ts).shape == (3, g.num_nodes, 1)
+        assert one_window(model, x, ts).shape == (3, g.num_nodes, 1)
 
     def test_block_order_realized_in_sequence(self, monkeypatch):
         cfg = small_config(block_order="STTS")
@@ -135,33 +136,38 @@ class TestForward:
                 return real(*args)
 
             monkeypatch.setattr(stgormer.model, name, record)
-        model.forward_batch(x[None], ts[None])
+        stacked_forward(model, x[None], ts[None])
         assert trace == ["S", "T", "T", "S"]
 
     def test_shape_errors(self):
         cfg = small_config()
         g = small_graph()
         model = build(cfg, g)
+        model.normalizer = Normalizer(mean=np.zeros(1), std=np.ones(1))
         x, ts, _ = sample_inputs(cfg, g.num_nodes)
-        with pytest.raises(ValueError, match="input_len"):
-            model.forward(x[:4], ts[:4])
-        with pytest.raises(ValueError, match="timestamps"):
-            model.forward(x, ts[:, :1])
+        with pytest.raises(ValueError, match="window length 4 != configured input_len 8"):
+            model.predict(x[:4], ts[:4])
+        with pytest.raises(ValueError, match=re.escape(
+                "timestamps shape (8, 1) != expected (8, 2)")):
+            model.predict(x, ts[:, :1])
+        with pytest.raises(ValueError, match=re.escape(
+                "timestamps shape (7, 2) != expected (8, 2)")):
+            model.predict(x, ts[:-1])
 
     def test_forward_deterministic(self):
         cfg = small_config()
         g = small_graph()
         model = build(cfg, g)
         x, ts, _ = sample_inputs(cfg, g.num_nodes)
-        assert np.array_equal(model.forward(x, ts).data,
-                              model.forward(x, ts).data)
+        assert np.array_equal(one_window(model, x, ts).data,
+                              one_window(model, x, ts).data)
 
     def test_node_permutation_equivariance(self):
         cfg = small_config()
         g = small_graph()
         n = g.num_nodes
         x, ts, _ = sample_inputs(cfg, n)
-        base = build(cfg, g).forward(x, ts).data
+        base = one_window(build(cfg, g), x, ts).data
         rng = np.random.default_rng(77)
         for _ in range(5):
             perm = rng.permutation(n).tolist()
@@ -169,7 +175,7 @@ class TestForward:
             x_perm = np.empty_like(x)
             for v in range(n):
                 x_perm[:, perm[v], :] = x[:, v, :]
-            out = permuted_model.forward(x_perm, ts).data
+            out = one_window(permuted_model, x_perm, ts).data
             for v in range(n):
                 diff = np.abs(out[:, perm[v], :] - base[:, v, :])
                 assert np.max(diff) < 1e-8 * max(1.0, np.max(np.abs(base)))
@@ -183,8 +189,8 @@ class TestAblationEquivalences:
         m_on, m_off = build(cfg_on, g), build(cfg_off, g)
         m_on.spd_table.data[:] = 0.0
         x, ts, _ = sample_inputs(cfg_on, g.num_nodes)
-        a = m_on.forward(x, ts).data
-        b = m_off.forward(x, ts).data
+        a = one_window(m_on, x, ts).data
+        b = one_window(m_off, x, ts).data
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_time_encoding_off_ignores_timestamps(self):
@@ -193,8 +199,8 @@ class TestAblationEquivalences:
         model = build(cfg, g)
         x, ts, _ = sample_inputs(cfg, g.num_nodes)
         other_ts = np.random.default_rng(123).uniform(0, 1, size=ts.shape)
-        assert np.array_equal(model.forward(x, ts).data,
-                              model.forward(x, other_ts).data)
+        assert np.array_equal(one_window(model, x, ts).data,
+                              one_window(model, x, other_ts).data)
 
     def test_time_encoding_on_uses_timestamps(self):
         g = small_graph()
@@ -202,30 +208,30 @@ class TestAblationEquivalences:
         model = build(cfg, g)
         x, ts, _ = sample_inputs(cfg, g.num_nodes)
         other_ts = np.random.default_rng(123).uniform(0, 1, size=ts.shape)
-        assert not np.array_equal(model.forward(x, ts).data,
-                                  model.forward(x, other_ts).data)
+        assert not np.array_equal(one_window(model, x, ts).data,
+                                  one_window(model, x, other_ts).data)
 
     def test_degree_encoding_off_ignores_tables(self):
         g = small_graph()
         cfg = small_config(use_degree_encoding=False)
         model = build(cfg, g)
         x, ts, _ = sample_inputs(cfg, g.num_nodes)
-        before = model.forward(x, ts).data
+        before = one_window(model, x, ts).data
         model.degree_tables.z_minus.data[:] += 3.5
         model.degree_tables.z_plus.data[:] -= 1.25
-        assert np.array_equal(model.forward(x, ts).data, before)
+        assert np.array_equal(one_window(model, x, ts).data, before)
 
     def test_both_encodings_off_depends_only_on_flows(self):
         g = small_graph()
         cfg = small_config(use_time_encoding=False, use_degree_encoding=False)
         model = build(cfg, g)
         x, ts, _ = sample_inputs(cfg, g.num_nodes)
-        base = model.forward(x, ts).data
+        base = one_window(model, x, ts).data
         other_ts = np.random.default_rng(9).uniform(0, 1, size=ts.shape)
         model.degree_tables.z_minus.data[:] += 2.0
         for feature in model.time_params:
             feature.w.data[:] *= -3.0
-        assert np.array_equal(model.forward(x, other_ts).data, base)
+        assert np.array_equal(one_window(model, x, other_ts).data, base)
 
     def test_moe_off_equals_single_expert_mixture(self):
         g = small_graph()
@@ -233,14 +239,14 @@ class TestAblationEquivalences:
         m_plain = build(small_config(use_moe=False, experts=5), g)
         x, ts, _ = sample_inputs(small_config(), g.num_nodes)
         # one fused feedforward node either way, under a gate of exactly 1.0
-        assert np.array_equal(m_single.forward(x, ts).data, m_plain.forward(x, ts).data)
+        assert np.array_equal(one_window(m_single, x, ts).data, one_window(m_plain, x, ts).data)
 
     def test_moe_off_has_no_balance_loss(self):
         g = small_graph()
         cfg = small_config(use_moe=False)
         model = build(cfg, g)
         x, ts, y = sample_inputs(cfg, g.num_nodes)
-        pred, weights = model.forward_batch(x[None], ts[None])
+        pred, weights = stacked_forward(model, x[None], ts[None])
         assert weights == []
         total, parts = loss(pred, y[None], weights, cfg.alpha)
         assert parts["lb"] == 0.0 and parts["usage"] == []
@@ -270,7 +276,7 @@ class TestLoss:
         x, ts, y = sample_inputs(cfg, 6, seed=5)
 
         def run(objective):
-            pred, weights = model.forward_batch(x[None], ts[None])
+            pred, weights = stacked_forward(model, x[None], ts[None])
             leaves = [Tensor(t.data, requires_grad=True) for t in [pred, *weights]]
             value = objective(leaves[0], y[None], leaves[1:], cfg.alpha)
             value.backward()
@@ -308,13 +314,15 @@ class TestLoss:
 
 
 class TestPredict:
-    def test_identity_normalizer_matches_forward(self):
-        g = small_graph()
-        cfg = small_config()
-        model = build(cfg, g)
+    @pytest.mark.parametrize("overrides", [
+        {"block_order": order} for order in ("SSSTTT", "STST", "TTSS")] + [{"horizon": 3}])
+    @pytest.mark.parametrize("nodes", [5, 7, 13, 24])
+    def test_unit_normalizer_is_bitwise_one_forecast_window(self, overrides, nodes):
+        cfg = small_config(**overrides)
+        model = build(cfg, small_graph(n=nodes))
         model.normalizer = Normalizer(mean=np.zeros(1), std=np.ones(1))
-        x, ts, _ = sample_inputs(cfg, g.num_nodes)
-        assert np.array_equal(model.predict(x, ts), model.forward(x, ts).data)
+        x, ts, _ = sample_inputs(cfg, nodes)
+        assert model.predict(x, ts).tobytes() == model.forecast(x, ts, 1)[0].tobytes()
 
     def test_affine_inverse(self):
         g = small_graph()
@@ -334,7 +342,7 @@ class TestPredict:
         normalizer = Normalizer(mean=np.array([3.0]), std=np.array([1.5]))
         model.normalizer = normalizer
         x, ts, _ = sample_inputs(cfg, g.num_nodes)
-        manual = normalizer.invert(model.forward(normalizer.apply(x), ts).data)
+        manual = normalizer.invert(one_window(model, normalizer.apply(x), ts).data)
         assert np.max(np.abs(model.predict(x, ts) - manual)) < 1e-12
 
     def test_requires_normalizer(self):
@@ -354,7 +362,7 @@ class TestFrozenInference:
         x = rng.normal(size=(32, cfg.input_len, 12, cfg.channels))
         ts = rng.uniform(0, 1, size=(32, cfg.input_len, cfg.temporal_features))
         with model.store.frozen():
-            (pred, usage), kept = kept_bytes(lambda: model.forward_batch(x, ts))
+            (pred, usage), kept = kept_bytes(lambda: stacked_forward(model, x, ts))
         assert kept < 2 ** 20, f"{kept / 2 ** 20:.1f} MiB live after a frozen forward"
         assert not pred.requires_grad and not any(u.requires_grad for u in usage)
 
@@ -368,7 +376,7 @@ class TestFrozenInference:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(32, cfg.input_len, 12, cfg.channels))
         ts = rng.uniform(0, 1, size=(32, cfg.input_len, cfg.temporal_features))
-        (pred, _), kept = kept_bytes(lambda: model.forward_batch(x, ts))
+        (pred, _), kept = kept_bytes(lambda: stacked_forward(model, x, ts))
         assert pred.requires_grad
         assert kept < 150 * 2 ** 20, f"{kept / 2 ** 20:.1f} MiB live after a recorded forward"
 
@@ -385,7 +393,7 @@ class TestFrozenInference:
         y = rng.normal(size=(32, cfg.horizon, 12, cfg.channels))
 
         def forward():
-            pred, usage = model.forward_batch(x, ts)
+            pred, usage = stacked_forward(model, x, ts)
             return loss(pred, y, usage, cfg.alpha)[0]
 
         with tracing():
@@ -404,7 +412,7 @@ class TestFrozenInference:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(32, cfg.input_len, 12, cfg.channels))
         ts = rng.uniform(0, 1, size=(32, cfg.input_len, cfg.temporal_features))
-        (pred, _), kept = kept_bytes(lambda: model.forward_batch(x, ts))
+        (pred, _), kept = kept_bytes(lambda: stacked_forward(model, x, ts))
         assert pred.requires_grad
         assert kept < 95 * 2 ** 20, f"{kept / 2 ** 20:.1f} MiB live after a recorded forward"
 
@@ -419,16 +427,16 @@ class TestFrozenInference:
         x = rng.normal(size=(32, cfg.input_len, 12, cfg.channels))
         ts = rng.uniform(0, 1, size=(32, cfg.input_len, cfg.temporal_features))
         with model.store.frozen():
-            _, peak = peak_bytes(lambda: model.forward_batch(x, ts))
+            _, peak = peak_bytes(lambda: stacked_forward(model, x, ts))
         assert peak < 12 * 2 ** 20, f"{peak / 2 ** 20:.1f} MiB at peak"
 
     def test_frozen_forward_is_bitwise_the_recorded_one(self):
         cfg = small_config()
         model = build(cfg, small_graph())
         x, ts, _ = sample_inputs(cfg, 6)
-        recorded = model.forward(x, ts)
+        recorded = one_window(model, x, ts)
         with model.store.frozen():
-            frozen = model.forward(x, ts)
+            frozen = one_window(model, x, ts)
         assert recorded.requires_grad
         assert frozen.data.tobytes() == recorded.data.tobytes()
 
@@ -445,15 +453,15 @@ class TestFrozenInference:
 
 def batched_forecast(model, flows, ts, batch_size):
     """What ``forecast`` replaces: frozen ``forward_batch`` on the stacked
-    windows, ``batch_size`` windows at a time."""
+    windows, ``batch_size`` windows at a time, with no step shared."""
     t = model.config.input_len
     count = len(flows) - t + 1
     preds = []
     with model.store.frozen():
         for start in range(0, count, batch_size):
             starts = range(start, min(start + batch_size, count))
-            preds.append(model.forward_batch(np.stack([flows[i:i + t] for i in starts]),
-                                             np.stack([ts[i:i + t] for i in starts]))[0].data)
+            preds.append(stacked_forward(model, np.stack([flows[i:i + t] for i in starts]),
+                                         np.stack([ts[i:i + t] for i in starts]))[0].data)
     return np.concatenate(preds)
 
 
@@ -533,10 +541,10 @@ def window_batch(cfg, n, batch, steps=60, seed=0):
     return stacked, (flows[distinct], ts[distinct], windows.reshape(batch, t)), ys
 
 
-def recorded_step(model, inputs, ys):
+def recorded_step(model, forward, ys):
     """The loss, gate usage, forecast and parameter gradients of one recorded
-    forward and backward on ``inputs``, the arguments of ``forward_batch``."""
-    pred, weights = model.forward_batch(*inputs)
+    ``forward()`` and its backward."""
+    pred, weights = forward()
     total, parts = loss(pred, ys, weights, model.config.alpha)
     backward(total, model.store)
     return total.item(), parts["usage"], pred.data, {p: t.grad for p, t in model.store.items()}
@@ -556,8 +564,8 @@ class TestSharedSteps:
     def check(self, cfg, nodes, batch, steps=60):
         model = build(cfg, small_graph(n=nodes, seed=5, prob=0.3))
         stacked, shared, ys = window_batch(cfg, nodes, batch, steps)
-        want = recorded_step(model, stacked, ys)
-        got = recorded_step(model, shared, ys)
+        want = recorded_step(model, lambda: stacked_forward(model, *stacked), ys)
+        got = recorded_step(model, lambda: model.forward_batch(*shared), ys)
         # A step-local MoE tail block of at most 10 rows is rounded by another
         # OpenBLAS kernel than the same rows inside a larger block (see
         # FORECAST_ATOL); every other token keeps its bits.
@@ -610,7 +618,7 @@ class TestFullGradient:
         x, ts, y = sample_inputs(cfg, g.num_nodes, seed=5)
 
         def fwd():
-            pred, usage = model.forward_batch(x[None], ts[None])
+            pred, usage = stacked_forward(model, x[None], ts[None])
             total, _ = loss(pred, y[None], usage, cfg.alpha)
             return total
 
@@ -621,7 +629,7 @@ class TestFullGradient:
         g = small_graph()
         model = build(cfg, g)
         x, ts, y = sample_inputs(cfg, g.num_nodes, seed=5)
-        pred, usage = model.forward_batch(x[None], ts[None])
+        pred, usage = stacked_forward(model, x[None], ts[None])
         total, _ = loss(pred, y[None], usage, cfg.alpha)
         interior, stack = {}, [total]
         while stack:
@@ -630,7 +638,7 @@ class TestFullGradient:
                 interior[id(node)] = node
                 stack.extend(node._prev)
         backward(total, model.store)
-        assert len(interior) == 21
+        assert len(interior) == 23
         assert all(n.grad is None and n._backward_fn is None for n in interior.values())
         assert all(t.grad is not None for _, t in model.store.items())
 
@@ -688,8 +696,8 @@ class TestCheckpoint:
             assert p1 == p2
             assert np.array_equal(t1.data, t2.data)
         x, ts, _ = sample_inputs(cfg, g.num_nodes)
-        assert np.array_equal(model.forward(x, ts).data,
-                              loaded.forward(x, ts).data)
+        assert np.array_equal(one_window(model, x, ts).data,
+                              one_window(loaded, x, ts).data)
 
     def test_save_twice_identical_bytes(self, tmp_path):
         model = build(small_config(), small_graph())
